@@ -11,18 +11,13 @@ claims of the fast-path PR:
   control packets on the wire than the unbatched baseline run of the
   identical workload, with live ``ecmp_bytes_on_wire`` accounting,
 * the mega join storm (100k aggregated subscribers in quick mode)
-  dispatches identical event counts under both schedulers, keeps exact
-  membership/delivery arithmetic, and the timer wheel beats the heap
-  by the CI floor (2.5x — a noise-safe regression gate; the recorded
-  medians are >=3x),
-* the native event core is actually engaged on the wheel run: whole
-  pure slots batch-dispatch (no per-event materialization) and events
-  recycle through the arena,
-* the channel-surf scenario's fast control plane (columnar state,
-  zero-copy codec, refresh ring) beats the legacy dict/scan baseline
-  on the identical Zipf zapping workload by the CI floor (2x — the
-  recorded medians are >=3x), with both control planes settling to
-  identical state, and
+  keeps exact membership/delivery arithmetic, and the event engine is
+  actually engaged: whole pure slots batch-dispatch (no per-event
+  materialization) for at least the recorded share of all events —
+  exact for the seed — and events recycle through the arena,
+* the channel-surf scenario's refresh ticks examine no more records
+  than recorded for the seed (an exact ceiling: any slide back toward
+  O(table) scanning exceeds it), and
 * every scenario clears a generous events/sec floor (guards against
   catastrophic data-plane regressions without tying CI to hardware).
 
@@ -32,7 +27,8 @@ Run with ``pytest benchmarks/perf`` or via ``python -m repro.bench``.
 import json
 import pathlib
 
-from repro.bench import build_report, write_report
+from repro.bench import SCHEMA_VERSION, build_report, write_report
+from repro.bench.scenarios import SCENARIOS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -41,13 +37,13 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 EVENTS_PER_SEC_FLOOR = 500.0
 DIJKSTRA_RATIO_FLOOR = 5.0
 WIRE_REDUCTION_FLOOR = 3.0
-#: Below the ~3.1-3.3x recorded medians on purpose: heap and wheel run
-#: back-to-back in one noisy shared container, so this is a regression
-#: gate, not the headline number (that lives in BENCH_perf.json).
-WHEEL_SPEEDUP_FLOOR = 2.5
-#: Below the ~4-5x recorded medians for the same reason: the fast and
-#: legacy control planes run back-to-back in one shared container.
-STATE_CHURN_SPEEDUP_FLOOR = 2.0
+#: Exact for seed 0: 106,500 of the mega storm's 112,904 events are
+#: consumed by batch slot dispatch (0.94328), floored at the fourth
+#: decimal. Host-independent.
+BATCHED_SHARE_FLOOR = 0.9432
+#: Exact for seed 0: channel-surf's refresh ticks and general queries
+#: examine 240 records over the zapping window. Host-independent.
+REFRESH_EXAMINED_CEILING = 240
 
 
 def test_perf_smoke_writes_bench_json():
@@ -57,15 +53,8 @@ def test_perf_smoke_writes_bench_json():
 
     parsed = json.loads(out.read_text())
     assert parsed["bench"] == "perf"
-    assert parsed["schema_version"] == 8
-    assert set(parsed["scenarios"]) == {
-        "join_storm",
-        "link_flap_churn",
-        "steady_fanout",
-        "mega_join_storm",
-        "channel_surf",
-        "mega_join_storm_parallel",
-    }
+    assert parsed["schema_version"] == SCHEMA_VERSION
+    assert set(parsed["scenarios"]) == set(SCENARIOS)
 
     for name, metrics in parsed["scenarios"].items():
         assert metrics["events_per_sec"] > EVENTS_PER_SEC_FLOOR, name
@@ -111,59 +100,42 @@ def test_perf_smoke_writes_bench_json():
     assert fanout["fib_cache_hit_fraction"] > 0.5
 
     # Million-subscriber scale (100k in quick mode) through aggregated
-    # edge-subscriber blocks, identical workload per scheduler.
+    # edge-subscriber blocks.
     mega = parsed["scenarios"]["mega_join_storm"]
     assert mega["params"]["subscribers"] == 100_000
-    # Correctness before speed: both schedulers dispatched the same
-    # event count, and the aggregated counting stayed exact.
-    assert mega["dispatch_events_match"] is True
+    # Correctness before speed: the aggregated counting stayed exact.
     assert mega["members_final"] == mega["members_expected"]
     assert mega["block_deliveries"] == mega["deliveries_expected"]
     assert mega["fib_no_match_drops"] == 0
     assert mega["block_fast_updates"] > 0
-    assert mega["wheel_speedup"] >= WHEEL_SPEEDUP_FLOOR
     assert mega["peak_rss_kb"] > 0
-    wheel_stats = mega["schedulers"]["wheel"]["scheduler_stats"]
-    assert wheel_stats["scheduler"] == "wheel"
+    stats = mega["scheduler_stats"]
+    assert stats["scheduler"] == "wheel"
     # The wheel must actually be doing bucketed O(1) inserts, not
     # degrading into the sorted open-slot path.
-    assert wheel_stats["wheel_insert_share"] > 0.9
-    assert mega["schedulers"]["heap"]["scheduler_stats"]["scheduler"] == "heap"
-    # v6 native core: the wheel run must batch-dispatch whole pure
-    # slots (not fall back to per-event materialization) and recycle
-    # events through the arena, unless the escape hatch is pulled.
-    assert mega["native_core"] is True
+    assert stats["wheel_insert_share"] > 0.9
+    # The engine must batch-dispatch whole pure slots (not fall back to
+    # per-event materialization) and recycle events through the arena.
     assert mega["batched_slots"] > 0
-    assert mega["batched_events"] > 0
+    assert mega["batched_events"] == stats["batched_events"]
+    assert mega["batched_share"] == mega["batched_events"] / mega["sim_events"]
+    assert mega["batched_share"] >= BATCHED_SHARE_FLOOR
     assert mega["arena"] is not None
     assert mega["arena"]["cap"] > 0
-    assert parsed["summary"]["native_core"] is True
     assert parsed["summary"]["batched_events"] == mega["batched_events"]
-    assert parsed["summary"]["wheel_speedup"] == mega["wheel_speedup"]
+    assert parsed["summary"]["mega_batched_share"] == mega["batched_share"]
     assert parsed["summary"]["mega_events_per_sec"] == mega["events_per_sec"]
 
-    # v8 control-plane fast path: the identical Zipf zapping workload
-    # driven on both control planes must settle to identical state
-    # (the scenario raises otherwise), the fast path must beat the
-    # legacy dict/scan baseline by the floor, and the refresh ring
-    # must eliminate the bulk of the per-tick record examinations.
+    # Control plane: the refresh ring and the upstream index touch only
+    # the records actually due, never the whole table.
     surf = parsed["scenarios"]["channel_surf"]
-    assert surf["states_equivalent"] is True
     assert surf["zap_events"] > 0
     assert surf["zap_events_per_sec"] > 0
-    assert surf["state_churn_speedup"] >= STATE_CHURN_SPEEDUP_FLOOR
-    assert 0.0 < surf["refresh_scan_fraction"] < 0.5
-    assert surf["refresh_records_examined"] > 0
-    assert surf["baseline"]["refresh_records_examined"] > (
-        surf["refresh_records_examined"]
-    )
+    assert 0 < surf["refresh_records_examined"] <= REFRESH_EXAMINED_CEILING
     assert surf["ecmp_wire"]["ecmp_bytes_on_wire"] > 0
     assert parsed["summary"]["zap_events_per_sec"] == surf["zap_events_per_sec"]
-    assert parsed["summary"]["state_churn_speedup"] == surf[
-        "state_churn_speedup"
-    ]
-    assert parsed["summary"]["refresh_scan_fraction"] == surf[
-        "refresh_scan_fraction"
+    assert parsed["summary"]["refresh_records_examined"] == surf[
+        "refresh_records_examined"
     ]
 
     storm = parsed["scenarios"]["join_storm"]

@@ -70,7 +70,17 @@ from repro.bench.scenarios import SCENARIOS, run_scenarios
 #: gates ``--floor-convergence-seconds`` / ``--floor-blast-radius``
 #: (:data:`CEILING_GATES`: the run fails when the measured value
 #: exceeds the threshold).
-SCHEMA_VERSION = 9
+#: v10: one engine and one control plane — the heap and legacy
+#: baseline passes are gone, and with them ``mega_join_storm``'s
+#: ``schedulers`` / ``wheel_speedup`` / ``native_core`` /
+#: ``dispatch_events_match`` and ``channel_surf``'s ``baseline`` /
+#: ``state_churn_speedup`` / ``refresh_scan_fraction`` /
+#: ``states_equivalent``. ``mega_join_storm`` gains ``batched_share``
+#: (batch-dispatched / total events, deterministic per seed) and a
+#: top-level ``scheduler_stats``; the summary gains
+#: ``mega_batched_share`` and ``refresh_records_examined``, gated by
+#: ``--floor-batched-share`` and the ceiling ``--floor-refresh-examined``.
+SCHEMA_VERSION = 10
 
 
 def build_report(
@@ -114,17 +124,15 @@ def build_report(
                 "ecmp_bytes_on_wire", 0
             ),
             "wire_message_reduction": churn.get("wire_message_reduction", 0.0),
-            "wheel_speedup": mega.get("wheel_speedup", 0.0),
             "mega_events_per_sec": mega.get("events_per_sec", 0.0),
-            "native_core": mega.get("native_core", False),
             "batched_events": mega.get("batched_events", 0),
+            "mega_batched_share": mega.get("batched_share", 0.0),
             "peak_rss_kb": mega.get("peak_rss_kb", 0),
             "zap_events_per_sec": surf.get("zap_events_per_sec", 0.0),
-            "state_churn_speedup": surf.get("state_churn_speedup", 0.0),
-            "refresh_scan_fraction": surf.get("refresh_scan_fraction", 0.0),
-            # v9 robustness SLOs: None (not 0.0) when the storm scenario
+            # Ceiling-gated fields are None (not 0) when their scenario
             # did not run, so a requested ceiling gate fails loudly
             # instead of passing on a vacuous zero.
+            "refresh_records_examined": surf.get("refresh_records_examined"),
             "convergence_seconds": storm.get("convergence_seconds"),
             "resync_bytes": storm.get("resync_bytes"),
             "blast_radius": storm.get("blast_radius"),
@@ -174,10 +182,10 @@ FLOOR_GATES = {
         "wire message reduction floor",
         "{:.2f}",
     ),
-    "wheel_speedup": (
-        "wheel_speedup",
-        "wheel speedup floor",
-        "{:.2f}",
+    "batched_share": (
+        "mega_batched_share",
+        "mega storm batched-dispatch share floor",
+        "{:.4f}",
     ),
     "mega_events_per_sec": (
         "mega_events_per_sec",
@@ -188,11 +196,6 @@ FLOOR_GATES = {
         "zap_events_per_sec",
         "channel-surf zap events/sec floor",
         "{:,.0f}",
-    ),
-    "state_churn_speedup": (
-        "state_churn_speedup",
-        "state churn speedup floor",
-        "{:.2f}",
     ),
     "partition_speedup": (
         "partition_speedup",
@@ -218,9 +221,10 @@ FLOOR_GATES = {
 
 #: Ceiling gates (schema v9): same table shape as :data:`FLOOR_GATES`,
 #: but the run fails when the measured value *exceeds* the threshold —
-#: these are robustness SLOs from the crash-storm scenario where lower
-#: is better. A missing/None summary value (the scenario did not run)
-#: fails loudly: a vacuous 0.0 must never pass a requested ceiling.
+#: robustness SLOs from the crash-storm scenario and the channel-surf
+#: refresh work, where lower is better. A missing/None summary value
+#: (the scenario did not run) fails loudly: a vacuous 0.0 must never
+#: pass a requested ceiling.
 CEILING_GATES = {
     "convergence_seconds": (
         "convergence_seconds",
@@ -231,6 +235,11 @@ CEILING_GATES = {
         "blast_radius",
         "blast radius ceiling",
         "{:.2f}",
+    ),
+    "refresh_examined": (
+        "refresh_records_examined",
+        "channel-surf refresh records examined ceiling",
+        "{:,.0f}",
     ),
 }
 
@@ -272,7 +281,7 @@ def check_floors(report: dict, floors: dict[str, Optional[float]]) -> list[str]:
             if value is None:
                 failures.append(
                     f"FAIL: {label} {fmt.format(floor)} has no measurement "
-                    "(crash-storm scenario did not run)"
+                    "(its scenario did not run)"
                 )
             elif value > floor:
                 failures.append(
@@ -354,32 +363,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         "wire message reduction falls below this",
     )
     parser.add_argument(
-        "--floor-wheel-speedup",
+        "--floor-batched-share",
         type=float,
         default=None,
-        help="exit non-zero if the mega scenario's timer-wheel-vs-heap "
-        "throughput ratio falls below this",
+        help="exit non-zero if the mega scenario's batch-dispatched share "
+        "of events falls below this (deterministic per seed)",
     )
     parser.add_argument(
         "--floor-mega-events-per-sec",
         type=float,
         default=None,
         help="exit non-zero if the mega storm's absolute events/sec "
-        "falls below this (pins the native event core's throughput)",
+        "falls below this (pins the event engine's throughput)",
     )
     parser.add_argument(
         "--floor-zap-events-per-sec",
         type=float,
         default=None,
         help="exit non-zero if the channel-surf scenario's zap "
-        "throughput on the fast control plane falls below this",
+        "throughput falls below this",
     )
     parser.add_argument(
-        "--floor-state-churn-speedup",
+        "--floor-refresh-examined",
         type=float,
         default=None,
-        help="exit non-zero if the channel-surf scenario's fast-vs-"
-        "legacy control-plane wall-clock ratio falls below this",
+        help="exit non-zero if the channel-surf scenario's refresh ticks "
+        "examine more than this many records (ceiling: lower is better; "
+        "deterministic per seed)",
     )
     parser.add_argument(
         "--floor-partition-speedup",
@@ -443,15 +453,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             line += f"  dijkstra saving {metrics['dijkstra_savings_ratio']:.1f}x"
         if "wire_message_reduction" in metrics:
             line += f"  wire msgs {metrics['wire_message_reduction']:.1f}x fewer"
-        if "wheel_speedup" in metrics:
-            line += f"  wheel {metrics['wheel_speedup']:.1f}x heap"
         if metrics.get("batched_events"):
-            line += f"  batched {metrics['batched_events']:,}"
-        if "state_churn_speedup" in metrics:
+            line += (
+                f"  batched {metrics['batched_events']:,}"
+                f" ({metrics['batched_share']:.1%})"
+            )
+        if "zap_events_per_sec" in metrics:
             line += (
                 f"  {metrics['zap_events_per_sec']:,.0f} zaps/s"
-                f"  churn {metrics['state_churn_speedup']:.1f}x legacy"
-                f"  scan {metrics['refresh_scan_fraction']:.1%}"
+                f"  refresh examined {metrics['refresh_records_examined']:,}"
             )
         if "partition_speedup" in metrics:
             line += (
@@ -493,10 +503,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             "dijkstra_ratio": args.floor_dijkstra_ratio,
             "bytes_on_wire": args.floor_bytes_on_wire,
             "wire_reduction": args.floor_wire_reduction,
-            "wheel_speedup": args.floor_wheel_speedup,
+            "batched_share": args.floor_batched_share,
             "mega_events_per_sec": args.floor_mega_events_per_sec,
             "zap_events_per_sec": args.floor_zap_events_per_sec,
-            "state_churn_speedup": args.floor_state_churn_speedup,
+            "refresh_examined": args.floor_refresh_examined,
             "partition_speedup": args.floor_partition_speedup,
             "sync_efficiency": args.floor_sync_efficiency,
             "null_ratio_reduction": args.floor_null_ratio_reduction,

@@ -13,16 +13,14 @@ cover the hot paths this repo optimizes:
   subscribed balanced tree, exercising FIB lookup interning and the
   zero-copy fan-out path.
 * **mega_join_storm** — scheduler scale: a 10^5 (quick) / 10^6 (full)
-  member join storm over aggregated subscriber blocks, run under both
-  the heap and timer-wheel schedulers on identical workloads; gates
-  the wheel's throughput advantage (``wheel_speedup``).
+  member join storm over aggregated subscriber blocks; gates the
+  engine's absolute throughput and its batched-dispatch share
+  (``batched_share``, deterministic for a seed).
 * **channel_surf** — control-plane state scale: thousands of standing
   channels (the §2.2 TV-distribution shape) while UDP-mode hosts zap
-  between Zipf-popular channels; the identical workload is driven on
-  the fast control plane (columnar state, zero-copy codec, refresh
-  ring) and on the legacy dict/scan/concatenating baseline, and the
-  wall-clock ratio over the zapping window is reported as
-  ``state_churn_speedup`` (CI-gated).
+  between Zipf-popular channels; gates zap throughput and, as a
+  ceiling, the records the soft-state refresh had to examine
+  (``refresh_records_examined``, deterministic for a seed).
 * **router_crash_storm** — soft-state robustness: a seeded
   :mod:`repro.faults` chaos plan (transit-router crash/restart cycles,
   a partition/heal, a latency spike, a wire-mutation window, a
@@ -52,7 +50,6 @@ from itertools import accumulate
 from time import perf_counter
 from typing import Optional
 
-from repro.core.ecmp.messages import set_zero_copy
 from repro.core.ecmp.protocol import EcmpAgent, NeighborMode
 from repro.core.keys import make_key
 from repro.core.network import ExpressNetwork
@@ -388,15 +385,15 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
     channel, modeled with aggregated subscriber blocks (100k members in
     quick mode, one million in full mode).
 
-    The identical workload — join/leave times deterministically
-    shuffled so scheduler inserts arrive in random time order — is
-    driven twice, once under each ``Simulator`` scheduler, and the
-    wheel-vs-heap throughput ratio is reported as ``wheel_speedup``
-    (the timer-wheel claim CI gates on). Runs uninstrumented (no
+    Join/leave times are deterministically shuffled so scheduler
+    inserts arrive in random time order. Runs uninstrumented (no
     ``Observability``) and with GC paused over the measured region so
-    the comparison isolates scheduler cost; correctness is checked
+    the number isolates engine cost; correctness is checked
     arithmetically instead (final membership, per-member deliveries,
-    and identical event counts across schedulers).
+    and identical event counts across repeats). ``batched_share`` —
+    the fraction of events consumed by batch slot dispatch — is
+    deterministic for a seed, so CI gates it exactly: a slide back
+    toward per-event dispatch fails it on any host.
     """
     n_subs = 100_000 if quick else 1_000_000
     n_leaves = n_subs // 8
@@ -405,20 +402,18 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
     # quick run is short enough for wall-clock jitter to matter); the
     # full run is long enough to self-average. Repeats also warm the
     # process-wide event arena, so the best run measures the recycled
-    # steady state the native core is built for.
+    # steady state the engine is built for.
     repeats = 3 if quick else 1
     # Coarse wheel slots (50 ms vs the 1 ms default) so the bulk storm
     # fills each bucket with ~1000+ ops: batch slot dispatch amortizes
     # its per-slot group bookkeeping over the whole bucket. Dispatch
-    # order is granularity-independent, so the heap comparison and the
-    # equivalence arithmetic are unaffected.
+    # order is granularity-independent, so the arithmetic is unaffected.
     wheel_granularity = 0.05
 
-    def drive(scheduler: str) -> dict:
+    def drive() -> dict:
         topo = TopologyBuilder.isp(
             n_transit=4, stubs_per_transit=3, hosts_per_stub=1,
-            seed=seed, scheduler=scheduler,
-            wheel_granularity=wheel_granularity,
+            seed=seed, wheel_granularity=wheel_granularity,
         )
         net = ExpressNetwork(topo)
         source = net.source(sorted(net.host_names)[0])
@@ -442,11 +437,10 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
             (base + 4.2 + 0.8 * i / n_leaves, leave_acts[i % n_blocks])
             for i in range(n_leaves)
         ]
-        # Shuffle deterministically: in submission order the heap's
-        # sift-up degenerates to O(1) (each push is the new maximum)
-        # and the comparison measures nothing. schedule_bulk preserves
-        # input order for ties (dispatch matches a sequential
-        # schedule_at loop), so the shuffle is order-safe.
+        # Shuffle deterministically, as a real audience's joins would
+        # arrive. schedule_bulk preserves input order for ties
+        # (dispatch matches a sequential schedule_at loop), so the
+        # shuffle is order-safe.
         random.Random(seed + 1).shuffle(work)
 
         sim = net.sim
@@ -472,12 +466,11 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
         expected_members = n_subs - n_leaves
         if members != expected_members:
             raise RuntimeError(
-                f"{scheduler}: final membership {members} != {expected_members}"
+                f"final membership {members} != {expected_members}"
             )
         if deliveries != packets * members:
             raise RuntimeError(
-                f"{scheduler}: block deliveries {deliveries} != "
-                f"{packets * members}"
+                f"block deliveries {deliveries} != {packets * members}"
             )
         return {
             "wall": wall,
@@ -493,20 +486,16 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
             "stats": sim.scheduler_stats(),
         }
 
-    runs = {name: drive(name) for name in ("heap", "wheel")}
+    best = drive()
     for _ in range(repeats - 1):
-        for name in ("heap", "wheel"):
-            again = drive(name)
-            if again["events"] != runs[name]["events"]:
-                raise RuntimeError(f"{name}: repeat diverged")
-            if again["wall"] < runs[name]["wall"]:
-                runs[name] = again
-    heap, wheel = runs["heap"], runs["wheel"]
-    if heap["events"] != wheel["events"]:
-        raise RuntimeError(
-            f"scheduler divergence: heap ran {heap['events']} events, "
-            f"wheel {wheel['events']}"
-        )
+        again = drive()
+        if (again["events"], again["stats"]["batched_events"]) != (
+            best["events"], best["stats"]["batched_events"]
+        ):
+            raise RuntimeError("repeat diverged")
+        if again["wall"] < best["wall"]:
+            best = again
+    stats = best["stats"]
     try:
         import resource
 
@@ -516,43 +505,32 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
     return {
         "params": {
             "topology": "isp(4,3,1)",
-            "nodes": wheel["nodes"],
+            "nodes": best["nodes"],
             "subscribers": n_subs,
             "leaves": n_leaves,
-            "blocks": wheel["blocks"],
+            "blocks": best["blocks"],
             "packets": packets,
             "repeats": repeats,
         },
-        # Top-level throughput is the wheel's (the configuration this
-        # scale runs at); the heap baseline lives under "schedulers".
-        "wall_seconds": wheel["wall"],
-        "sim_events": wheel["events"],
-        "events_per_sec": wheel["events"] / wheel["wall"] if wheel["wall"] else 0.0,
-        "wheel_speedup": heap["wall"] / wheel["wall"] if wheel["wall"] else 0.0,
-        "schedulers": {
-            name: {
-                "wall_seconds": run["wall"],
-                "sim_events": run["events"],
-                "events_per_sec": run["events"] / run["wall"] if run["wall"] else 0.0,
-                "scheduler_stats": run["stats"],
-            }
-            for name, run in runs.items()
-        },
+        "wall_seconds": best["wall"],
+        "sim_events": best["events"],
+        "events_per_sec": best["events"] / best["wall"] if best["wall"] else 0.0,
+        "scheduler_stats": stats,
         "peak_rss_kb": peak_rss_kb,
-        # Native-core visibility (also inside scheduler_stats): how much
-        # of the storm went through batch slot dispatch, and the arena's
-        # recycle behaviour over the best run.
-        "native_core": bool(wheel["stats"].get("native", False)),
-        "batched_events": wheel["stats"].get("batched_events", 0),
-        "batched_slots": wheel["stats"].get("batched_slots", 0),
-        "arena": wheel["stats"].get("arena"),
-        "members_final": wheel["members"],
+        # How much of the storm went through batch slot dispatch, and
+        # the arena's recycle behaviour over the best run.
+        "batched_events": stats["batched_events"],
+        "batched_slots": stats["batched_slots"],
+        "batched_share": (
+            stats["batched_events"] / best["events"] if best["events"] else 0.0
+        ),
+        "arena": stats["arena"],
+        "members_final": best["members"],
         "members_expected": n_subs - n_leaves,
-        "block_deliveries": wheel["deliveries"],
+        "block_deliveries": best["deliveries"],
         "deliveries_expected": packets * (n_subs - n_leaves),
-        "block_fast_updates": wheel["fast_updates"],
-        "fib_no_match_drops": wheel["no_match_drops"],
-        "dispatch_events_match": heap["events"] == wheel["events"],
+        "block_fast_updates": best["fast_updates"],
+        "fib_no_match_drops": best["no_match_drops"],
     }
 
 
@@ -564,32 +542,21 @@ def channel_surf(quick: bool = True, seed: int = 0) -> dict:
     every on-tree router, zero refresh traffic under TREE_ONLY), while
     a handful of UDP-mode "surfer" hosts zap — leave the current
     channel, join a Zipf-popular draw — on a sub-second cadence with
-    the soft-state refresh interval cranked down to match. The zapping
-    is what the fast path optimizes; the standing tail is the tax the
-    legacy control plane pays for it: the full-table refresh scan
-    walks every record of every channel on every tick to find the few
-    UDP-mode records actually due.
+    the soft-state refresh interval cranked down to match. The standing
+    tail is what makes refresh cost visible: the refresh ring and the
+    upstream index must touch only the few UDP-mode records actually
+    due, never the whole table.
 
-    The identical workload (channel set, tail joins, zap schedule —
-    all seeded via ``derive_seed``) is driven twice: once on the fast
-    control plane (columnar record bank, zero-copy codec, refresh
-    ring — the defaults) and once on the legacy baseline
-    (``columnar=False, refresh_ring=False`` plus the concatenating
-    codec via ``set_zero_copy(False)``). Only the zapping window is
-    timed; setup/settle and the post-churn soft-state parity check are
-    untimed. Reported:
+    The workload (channel set, tail joins, zap schedule) is seeded via
+    ``derive_seed``. Only the zapping window is timed; setup and
+    settle are untimed. Reported:
 
-    * ``zap_events_per_sec`` — zap throughput on the fast path (the
-      CI-gated absolute floor),
-    * ``state_churn_speedup`` — baseline wall over fast wall on the
-      identical window (the CI-gated ≥ relative floor),
-    * ``refresh_scan_fraction`` — records examined by refresh ticks,
-      fast/baseline (how much of the scan tax the ring removes),
-
-    plus a cross-pass equality check of the settled per-router
-    ``ChannelState`` tables — the two control planes must agree on
-    every (channel, neighbor, count, validated, udp) triple or the
-    scenario raises instead of reporting a speedup.
+    * ``zap_events_per_sec`` — zap throughput (the CI-gated absolute
+      floor),
+    * ``refresh_records_examined`` — records the refresh ticks and
+      general queries touched over the window. It is deterministic for
+      a seed, so CI gates it as an exact ceiling: any slide back
+      toward O(table) scanning fails it on every host.
     """
     n_transit = 3
     stubs = 2
@@ -622,8 +589,7 @@ def channel_surf(quick: bool = True, seed: int = 0) -> dict:
     )
     total_weight = cumulative[-1]
 
-    # One zap schedule, shared verbatim by both passes: (time, surfer,
-    # channel rank). Seeded per surfer via derive_seed so adding a
+    # The zap schedule: (time, surfer, channel rank). Seeded per surfer via derive_seed so adding a
     # surfer never perturbs another surfer's stream.
     churn_start = join_window + 2.0
     churn_end = churn_start + churn_duration
@@ -637,15 +603,14 @@ def channel_surf(quick: bool = True, seed: int = 0) -> dict:
             at += zap_spacing * (0.5 + rng.random())
     zap_plan.sort()
 
-    def drive(fast: bool) -> dict:
+    def drive() -> dict:
         topo = TopologyBuilder.isp(
             n_transit=n_transit,
             stubs_per_transit=stubs,
             hosts_per_stub=hosts_per_stub,
             seed=seed,
         )
-        kwargs = {} if fast else {"columnar": False, "refresh_ring": False}
-        net = ExpressNetwork(topo, wire_format=True, **kwargs)
+        net = ExpressNetwork(topo, wire_format=True)
         sources = [net.source(name) for name in source_names]
         channels = [
             s.allocate_channel()
@@ -702,45 +667,18 @@ def channel_surf(quick: bool = True, seed: int = 0) -> dict:
             - examined_before
         )
         # Post-churn settle (untimed): long enough for any soft state
-        # the last zaps abandoned to expire in both passes before the
-        # parity snapshot.
+        # the last zaps abandoned to expire.
         net.run(until=churn_end + settle_after)
-        snapshot = {}
-        for name, agent in sorted(net.ecmp_agents.items()):
-            snapshot[name] = {
-                (channel.source, channel.suffix): {
-                    neighbor: (record.count, record.validated, record.udp)
-                    for neighbor, record in sorted(state.downstream.items())
-                }
-                for channel, state in agent.channels.items()
-            }
-        return {
-            "net": net,
-            "wall": wall,
-            "examined": examined,
-            "snapshot": snapshot,
-        }
+        return net, wall, examined
 
     prior_interval = EcmpAgent.UDP_QUERY_INTERVAL
     EcmpAgent.UDP_QUERY_INTERVAL = refresh_interval
     try:
-        fast_run = drive(fast=True)
-        prior_codec = set_zero_copy(False)
-        try:
-            base_run = drive(fast=False)
-        finally:
-            set_zero_copy(prior_codec)
+        net, wall, examined = drive()
     finally:
         EcmpAgent.UDP_QUERY_INTERVAL = prior_interval
 
-    if fast_run["snapshot"] != base_run["snapshot"]:
-        raise RuntimeError(
-            "fast and legacy control planes settled to different state"
-        )
-    fast_wall = fast_run["wall"]
-    base_wall = base_run["wall"]
     zap_events = len(zap_plan)
-    net = fast_run["net"]
     return {
         "params": {
             "topology": f"isp({n_transit},{stubs},{hosts_per_stub})",
@@ -752,26 +690,12 @@ def channel_surf(quick: bool = True, seed: int = 0) -> dict:
             "refresh_interval": refresh_interval,
             "churn_duration": churn_duration,
         },
-        "wall_seconds": fast_wall,
+        "wall_seconds": wall,
         "sim_events": net.sim.events_processed,
-        "events_per_sec": (
-            net.sim.events_processed / fast_wall if fast_wall else 0.0
-        ),
+        "events_per_sec": net.sim.events_processed / wall if wall else 0.0,
         "zap_events": zap_events,
-        "zap_events_per_sec": zap_events / fast_wall if fast_wall else 0.0,
-        "state_churn_speedup": base_wall / fast_wall if fast_wall else 0.0,
-        "refresh_records_examined": fast_run["examined"],
-        "refresh_scan_fraction": (
-            fast_run["examined"] / base_run["examined"]
-            if base_run["examined"]
-            else 0.0
-        ),
-        "baseline": {
-            "wall_seconds": base_wall,
-            "zap_events_per_sec": zap_events / base_wall if base_wall else 0.0,
-            "refresh_records_examined": base_run["examined"],
-        },
-        "states_equivalent": True,
+        "zap_events_per_sec": zap_events / wall if wall else 0.0,
+        "refresh_records_examined": examined,
         "ecmp_wire": _ecmp_wire_stats(net),
     }
 
@@ -783,10 +707,10 @@ def mega_join_storm_parallel(
 
     The identical declarative workload (a :data:`~repro.netsim.parallel.
     scenario.OPGENS` ``block_storm`` spec) is run twice: once on a
-    single-process wheel simulator (the oracle and the baseline the
-    speedup is measured against) and once through
+    single-process simulator (the oracle and the baseline the speedup
+    is measured against) and once through
     :class:`~repro.netsim.parallel.runner.ParallelRunner` with one
-    wheel-scheduler worker process per partition. The sharded run must
+    worker process per partition. The sharded run must
     produce settled ``ChannelState`` tables, block membership, delivery
     counts, and dispatch totals identical to the single-process run
     (:func:`~repro.netsim.parallel.runner.assert_equivalent`; a
@@ -879,8 +803,8 @@ def mega_join_storm_parallel(
         duration=5.6,
         seed=seed,
     )
-    single = run_single(spec, scheduler="wheel")
-    runner = ParallelRunner(spec, n_workers, scheduler="wheel", mode="mp")
+    single = run_single(spec)
+    runner = ParallelRunner(spec, n_workers, mode="mp")
     result = runner.run()
     try:
         assert_equivalent(result.merged, single)
@@ -917,7 +841,7 @@ def mega_join_storm_parallel(
     # property suite), so the baseline runs inline — no spawn cost, and
     # its wall clock is never used for anything.
     eager = ParallelRunner(
-        spec, n_workers, scheduler="wheel", mode="inline", sync_mode="eager"
+        spec, n_workers, mode="inline", sync_mode="eager"
     ).run()
     try:
         assert_equivalent(eager.merged, single)
@@ -951,7 +875,7 @@ def mega_join_storm_parallel(
     # telemetry. Kept separate from the timed pass above so the
     # partition_speedup gate measures the uninstrumented fast path.
     telemetered = ParallelRunner(
-        spec, n_workers, scheduler="wheel", mode="mp",
+        spec, n_workers, mode="mp",
         telemetry=TelemetryConfig(profile=True, snapshot_every=8),
     ).run()
     phases = telemetered.phase_totals()

@@ -38,7 +38,6 @@ them open; see DESIGN.md §4):
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -69,9 +68,9 @@ from repro.core.ecmp.messages import (
 )
 from repro.core.ecmp.refresh import RefreshRing
 from repro.core.ecmp.state import (
-    COLUMNAR_DEFAULT,
     LOCAL,
     ChannelState,
+    DownstreamRecord,
     is_pseudo_neighbor,
 )
 from repro.core.keys import ChannelKey, KeyCache
@@ -90,11 +89,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.blocks import SubscriberBlock
 
 PROTO_ECMP = "ecmp"
-
-#: ``REPRO_REFRESH_RING=0`` is the coalesced-refresh escape hatch:
-#: agents fall back to the legacy full-table refresh/general-query
-#: scans (also the A/B baseline for the ``channel_surf`` benchmark).
-REFRESH_RING_DEFAULT = os.environ.get("REPRO_REFRESH_RING", "1") != "0"
 
 #: "All multicast ECMP datagrams are sent to a well-known ECMP address"
 #: with "a well-known localhost value as the source" (§3.3 + footnote 5).
@@ -279,8 +273,6 @@ class EcmpAgent(ProtocolAgent):
         wire_format: bool = False,
         batching: bool = True,
         obs=None,
-        columnar: Optional[bool] = None,
-        refresh_ring: Optional[bool] = None,
     ) -> None:
         super().__init__(node)
         if role not in ("router", "host"):
@@ -305,16 +297,6 @@ class EcmpAgent(ProtocolAgent):
         self.block_fast_updates = 0
         self.default_mode = default_mode
         self.proactive_curve = proactive_curve or ToleranceCurve()
-        #: Record backend for this agent's channel tables (columnar
-        #: StateBank rows vs the legacy per-record dataclass); None
-        #: defers to the ``REPRO_COLUMNAR`` process default.
-        self.columnar = COLUMNAR_DEFAULT if columnar is None else columnar
-        #: Coalesced soft-state refresh (due-deadline ring + upstream
-        #: index) vs the legacy full-table scans; None defers to the
-        #: ``REPRO_REFRESH_RING`` process default.
-        self.refresh_ring_enabled = (
-            REFRESH_RING_DEFAULT if refresh_ring is None else refresh_ring
-        )
         self.keys = KeyCache()
         self.channels: dict[Channel, ChannelState] = {}
         self.subscriptions: dict[Channel, SubscriptionHandle] = {}
@@ -1145,7 +1127,7 @@ class EcmpAgent(ProtocolAgent):
 
         record = state.downstream.get(from_name)
         if record is None:
-            record = state.downstream[from_name] = state.new_record()
+            record = state.downstream[from_name] = DownstreamRecord()
         record.count = count
         record.updated_at = self.sim.now
         if from_name != LOCAL:
@@ -1196,7 +1178,6 @@ class EcmpAgent(ProtocolAgent):
             channel=channel,
             upstream=upstream,
             created_at=self.sim.now,
-            columnar=self.columnar,
         )
         state.upstream_changed_at = self.sim.now
         self.channels[channel] = state
@@ -1484,29 +1465,19 @@ class EcmpAgent(ProtocolAgent):
         """§3.3: re-send Counts for every channel routed via ``from_name``
         (the UDP-mode refresh, "analogous to an IGMP general query").
 
-        Fast path: the ``_by_upstream`` index yields exactly the
-        channels routed via the querier instead of testing every
-        channel in the table. ``refresh_records_examined`` tallies the
-        states each path had to touch, so the benchmark can report the
-        scan-work fraction the index eliminates.
+        The ``_by_upstream`` index yields exactly the channels routed
+        via the querier, so the table is never scanned.
+        ``refresh_records_examined`` tallies the states touched, which
+        the benchmark gates as a ceiling.
         """
-        if self.refresh_ring_enabled:
-            routed = self._by_upstream.get(from_name)
-            if not routed:
-                return
-            self.stats.incr("refresh_records_examined", len(routed))
-            for channel in list(routed):
-                state = self.channels.get(channel)
-                if state is not None and state.upstream == from_name:
-                    self._send_count_upstream(state, state.total(validated_only=False))
+        routed = self._by_upstream.get(from_name)
+        if not routed:
             return
-        examined = 0
-        for channel, state in self.channels.items():
-            examined += 1
-            if state.upstream == from_name:
+        self.stats.incr("refresh_records_examined", len(routed))
+        for channel in list(routed):
+            state = self.channels.get(channel)
+            if state is not None and state.upstream == from_name:
                 self._send_count_upstream(state, state.total(validated_only=False))
-        if examined:
-            self.stats.incr("refresh_records_examined", examined)
 
     def _start_query(
         self,
@@ -1773,12 +1744,6 @@ class EcmpAgent(ProtocolAgent):
             self._do_udp_refresh_tick()
 
     def _do_udp_refresh_tick(self) -> None:
-        if self.refresh_ring_enabled:
-            self._refresh_tick_ring()
-        else:
-            self._refresh_tick_scan()
-
-    def _refresh_tick_ring(self) -> None:
         """Coalesced refresh: one sampled general query per UDP-mode
         neighbor (from the incrementally maintained fan-out index), then
         expiry of only the ring entries whose deadline bucket has passed
@@ -1819,42 +1784,6 @@ class EcmpAgent(ProtocolAgent):
             self.stats.incr("udp_expirations")
             self._apply_subscriber_count(channel, name, 0)
             self._expire_block_member(channel, name)
-
-    def _refresh_tick_scan(self) -> None:
-        """The legacy full-table refresh (``REPRO_REFRESH_RING=0``):
-        every record on every channel is examined on every tick."""
-        udp_downstreams: set[str] = set()
-        examined = 0
-        for state in self.channels.values():
-            for name, record in state.downstream.items():
-                # Blocks are excluded from the general query (nothing to
-                # send to) but *not* from the expiry sweep below: a block
-                # that stops refreshing ages out like any UDP neighbor.
-                examined += 1
-                if not is_pseudo_neighbor(name) and record.udp and record.count > 0:
-                    udp_downstreams.add(name)
-        if udp_downstreams:
-            general = CountQuery(
-                channel=DISCOVERY_CHANNEL,
-                count_id=ALL_CHANNELS_ID,
-                timeout=self.UDP_QUERY_INTERVAL,
-            )
-            for name in sorted(udp_downstreams):
-                self._send_message(general, name)
-        horizon = self.sim.now - self.UDP_ROBUSTNESS * self.UDP_QUERY_INTERVAL
-        for state in list(self.channels.values()):
-            examined += len(state.downstream)
-            expired = [
-                name
-                for name, record in state.downstream.items()
-                if name != LOCAL and record.udp and record.updated_at < horizon
-            ]
-            for name in expired:
-                self.stats.incr("udp_expirations")
-                self._apply_subscriber_count(state.channel, name, 0)
-                self._expire_block_member(state.channel, name)
-        if examined:
-            self.stats.incr("refresh_records_examined", examined)
 
     def _expire_block_member(self, channel: Channel, name: str) -> None:
         """Keep an expired block's own view and the delivery index

@@ -1,9 +1,9 @@
 """Due-deadline ring for coalesced UDP soft-state refresh.
 
-The legacy ``_do_udp_refresh_tick`` walked every channel record on
-every tick to find the few UDP-mode records actually due to expire —
-O(total state) per tick, the §5.3 cost the soft-state design is
-supposed to avoid. This ring applies the wheel-bucket idiom from
+A refresh tick that walked every channel record to find the few
+UDP-mode records actually due to expire would cost O(total state) per
+tick, the §5.3 cost the soft-state design is supposed to avoid. This
+ring applies the wheel-bucket idiom from
 :mod:`repro.netsim.engine` to the refresh scan: entries are hashed
 into coarse time buckets by expiry deadline, and a tick pops only the
 buckets whose window has fully passed.
@@ -14,8 +14,9 @@ comes due, the caller revalidates against the live record — if the
 record was refreshed meanwhile, the entry is simply rescheduled at its
 new deadline. Because a bucket's start is never later than any
 deadline hashed into it, an entry is always examined no later than the
-tick on which the full-table scan would have expired it, so expiry
-timing is identical to the scan (the equivalence suite pins this); a
+tick on which a full-table scan would have expired it, so a record
+expires on the first tick past its lease, never earlier
+(``tests/properties/test_state_equivalence.py`` pins this); a
 refreshed entry costs at most one extra examination per refresh
 interval instead of one per record per tick.
 """

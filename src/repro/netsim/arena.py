@@ -3,23 +3,22 @@
 The mega-storm steady state is an allocation treadmill: every workload
 op materialises an ``Event``, dispatches it once, and drops it — a
 quarter-microsecond of allocator and GC traffic per event that dwarfs
-the few field writes the event actually needs. The native core breaks
-the treadmill twice over. On the timer wheel, ``schedule_bulk`` keeps
-*pure* buckets of the caller's own ``(time, action)`` tuples and most
-slots batch-dispatch without any ``Event`` ever existing (see
-``docs/performance.md``). Where real events *are* still needed — the
-heap scheduler (the equivalence oracle), and pure buckets touched by
-an insert/cancel/profiled run, which must materialize into sorted
-events — those events are marked *pooled* (the caller never receives
-a reference, so no handle can outlive dispatch) and the engine returns
-them here after they fire. The next materialization resets the
-recycled records in place — ten field writes instead of an allocation.
+the few field writes the event actually needs. The engine breaks the
+treadmill twice over. ``schedule_bulk`` keeps *pure* buckets of the
+caller's own ``(time, action)`` tuples and most slots batch-dispatch
+without any ``Event`` ever existing (see ``docs/performance.md``).
+Where real events *are* still needed — out-of-horizon bulk items, and
+pure buckets touched by an insert/cancel/profiled run, which must
+materialize into sorted events — those events are marked *pooled*
+(the caller never receives a reference, so no handle can outlive
+dispatch) and the engine returns them here after they fire. The next
+materialization resets the recycled records in place — ten field
+writes instead of an allocation.
 
-Recycling granularity follows the dispatch path: when a whole
-materialized slot of pooled events has been dispatched, the engine
-hands the *list itself* back via :meth:`EventArena.release_block`, so
-recycling costs O(1) per slot, not O(events); the heap scheduler
-releases one event at a time through :meth:`EventArena.release`.
+Recycling is per slot: when a whole materialized slot of pooled events
+has been dispatched, the engine hands the *list itself* back via
+:meth:`EventArena.release_block`, so recycling costs O(1) per slot,
+not O(events).
 
 Use-after-recycle is guarded twice over:
 
@@ -29,41 +28,27 @@ Use-after-recycle is guarded twice over:
 * every acquisition bumps the event's ``gen`` counter, so a stale
   handle (should one ever exist) can detect the new incarnation and
   :meth:`Event.cancel_if` refuses to cancel it.
-
-``REPRO_NATIVE=0`` disables the arena (and the engine's batch slot
-dispatch) entirely — the pure-Python escape hatch for debugging; see
-``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.engine import Event
-
-#: Master switch for the native-speed event core (arena pooling and
-#: batch slot dispatch). Read once at import; individual simulators can
-#: override via ``Simulator(native=...)``.
-NATIVE = os.environ.get("REPRO_NATIVE", "1") != "0"
 
 #: Pool ceiling in events. Sized above the mega storm's in-flight
 #: window (~113k pending events) so a full drain recycles everything;
 #: beyond the cap, released events fall back to ordinary GC.
 POOL_CAP = 1 << 17
 
-#: Per-block ceiling for single-event releases (the heap path), so the
-#: fill block stays cache-friendly and list growth stays amortised.
-_FILL_BLOCK = 4096
-
 
 class EventArena:
     """A free list of recycled events, stored as blocks of lists.
 
-    Blocks are whole consumed wheel slots (``release_block``) or
-    incrementally-filled lists (``release``). Acquisition pops from the
-    newest block — LIFO keeps recently-touched records hot in cache.
+    Blocks are whole consumed wheel slots (``release_block``).
+    Acquisition pops from the newest block — LIFO keeps
+    recently-touched records hot in cache.
     """
 
     __slots__ = ("blocks", "total", "cap", "acquired", "recycled", "dropped")
@@ -94,19 +79,6 @@ class EventArena:
         self.total -= 1
         self.acquired += 1
         return event
-
-    def release(self, event: "Event") -> None:
-        """Recycle one dispatched pooled event (heap-scheduler path)."""
-        if self.total >= self.cap:
-            self.dropped += 1
-            return
-        blocks = self.blocks
-        if blocks and len(blocks[-1]) < _FILL_BLOCK:
-            blocks[-1].append(event)
-        else:
-            blocks.append([event])
-        self.total += 1
-        self.recycled += 1
 
     def release_block(self, events: List["Event"]) -> None:
         """Recycle a fully-dispatched slot of pooled events in O(1).
@@ -140,9 +112,8 @@ class EventArena:
         }
 
 
-#: Process-wide arena shared by every native-mode simulator: the bench
-#: harness runs heap and wheel back to back and repeats runs, and a
-#: shared pool means the steady state (every run after the first)
+#: Process-wide arena shared by every simulator: the bench harness
+#: repeats runs, and a shared pool means the steady state (every run after the first)
 #: allocates ~zero event objects. Ownership is not pooled state — the
 #: engine resets ``owner`` (and every other field) on acquisition.
 ARENA = EventArena()

@@ -5,17 +5,16 @@ A deterministic, single-threaded event loop. Events are ordered by
 insertion counter, so simultaneous events fire in schedule order and
 every run with the same seed and schedule is bit-for-bit reproducible.
 
-Two interchangeable schedulers back the loop (``Simulator(scheduler=)``):
-
-* ``"heap"`` (default) — a binary heap. O(log n) per operation with a
-  Python-level ``Event.__lt__`` on every sift, which dominates wall
-  time once hundreds of thousands of events are pending.
-* ``"wheel"`` — a timer wheel: near-future events land in per-slot
-  buckets by O(1) append and each slot is sorted once when the cursor
-  reaches it; far-future events overflow into a small heap and cascade
-  into the wheel as their slot comes within the horizon. Dispatch
-  order is identical to the heap's (same ``(time, seq)`` order), which
-  ``tests/properties/test_scheduler_equivalence.py`` pins.
+One engine backs the loop: a :class:`TimerWheel`. Near-future events
+land in per-slot buckets by O(1) append and each slot is sorted once
+when the cursor reaches it; far-future events overflow into a small
+heap and cascade into the wheel as their slot comes within the
+horizon. Bulk-scheduled work is kept as the caller's own tuples in
+*pure* buckets that batch-dispatch without an ``Event`` ever existing,
+and the events that do exist are recycled through the free-list arena
+of :mod:`repro.netsim.arena`. Dispatch order is exactly ``(time,
+seq)``; ``tests/properties/test_scheduler_equivalence.py`` pins it
+against a small heapq reference scheduler kept under ``tests/``.
 
 Seeding contract
 ----------------
@@ -45,7 +44,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.netsim.arena import ARENA, NATIVE
+from repro.netsim.arena import ARENA
 
 #: Below this queue size, compaction is never worth the heapify cost.
 _COMPACT_MIN_QUEUE = 64
@@ -64,9 +63,9 @@ def derive_seed(seed: int, *names: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-#: Total-order key shared by both schedulers. ``attrgetter`` builds the
-#: ``(time, seq)`` tuple in C, so wheel-slot sorts avoid the Python
-#: ``Event.__lt__`` the heap pays on every sift.
+#: Total-order key for slot sorts. ``attrgetter`` builds the
+#: ``(time, seq)`` tuple in C, so sorts avoid the Python
+#: ``Event.__lt__``.
 _EVENT_KEY = attrgetter("time", "seq")
 
 #: Time key for bulk-item scans (e.g. the atomic past-time prescan).
@@ -77,8 +76,7 @@ _ITEM_TIME = itemgetter(0)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` so the schedulers are
-    deterministic. Cancelled events are skipped when they come due; the
+    Events compare by ``(time, seq)`` so dispatch is deterministic. Cancelled events are skipped when they come due; the
     owning simulator additionally compacts its queue when cancelled
     events pile up (see :meth:`Simulator._note_cancelled`).
     """
@@ -97,8 +95,8 @@ class Event:
     #: out for reuse. A holder that captured ``(event, event.gen)`` can
     #: tell a recycled record from the one it scheduled.
     gen: int = field(compare=False, default=0, repr=False)
-    #: True for events scheduled through :meth:`Simulator.schedule_bulk`
-    #: on a native-mode simulator. Pooled events are unreachable outside
+    #: True for events scheduled through :meth:`Simulator.schedule_bulk`.
+    #: Pooled events are unreachable outside
     #: the engine (bulk scheduling returns a count, not the events), so
     #: recycling them after dispatch is safe by construction.
     pooled: bool = field(compare=False, default=False, repr=False)
@@ -145,14 +143,12 @@ class TimerWheel:
     comparison stays in C) and *cascade* into buckets as the cursor
     approaches their slot, so an event is only ever promoted once.
 
-    Dispatch order is exactly the heap scheduler's ``(time, seq)``
-    order: slots partition time monotonically, each slot is sorted, and
+    Dispatch order is exactly ``(time, seq)`` order: slots partition time monotonically, each slot is sorted, and
     a late insert into the already-open slot is placed by bisection
     after the consumed prefix — its time is ``>= now``, so it can never
     sort before an already-dispatched entry.
 
-    **Pure buckets.** On a native-mode simulator, ``schedule_bulk``
-    stores in-horizon entries as references to the caller's raw
+    **Pure buckets.** ``schedule_bulk`` stores in-horizon entries as references to the caller's raw
     ``(time, action)`` tuples instead of :class:`Event` objects; a
     bucket holding only such tuples is *pure* and carries side metadata
     ``[name, base_seq, tally]`` in ``_bucket_meta[index]`` (the tally —
@@ -287,15 +283,14 @@ class TimerWheel:
         ``meta[1] + i`` for the entry at position ``i``. Order is
         preserved; callers sort if they need to."""
         sim = self.sim
-        arena = sim._arena
-        pooled = arena is not None
+        acquire = sim._arena.acquire
         name = meta[0]
         seq = meta[1] - 1
         events: list[Event] = []
         append = events.append
         for time, action in entries:
             seq += 1
-            event = arena.acquire() if pooled else None
+            event = acquire()
             if event is not None:
                 event.gen += 1
                 event.time = time
@@ -307,7 +302,7 @@ class TimerWheel:
                 event._in_queue = True
                 event.pooled = True
             else:
-                event = Event(time, seq, action, name, False, sim, True, 0, pooled)
+                event = Event(time, seq, action, name, False, sim, True, 0, True)
             append(event)
         return events
 
@@ -375,11 +370,9 @@ class TimerWheel:
                 # cancel-skipped, so dispatched pooled events can go
                 # back to the arena (slots the batch dispatcher took
                 # never reach here — it consumes tuples, not Events).
-                arena = sim._arena
-                if arena is not None:
-                    recycled = [event for event in open_ if event.pooled]
-                    if recycled:
-                        arena.release_block(recycled)
+                recycled = [event for event in open_ if event.pooled]
+                if recycled:
+                    sim._arena.release_block(recycled)
                 del open_[:]
             self._open_pos = 0
             # Open slot exhausted — move the cursor. When every bucket
@@ -472,8 +465,7 @@ class TimerWheel:
         return out[:k]
 
     def compact(self) -> None:
-        """Drop cancelled entries everywhere (wheel analogue of the
-        heap's :meth:`Simulator._compact`). Pure storage is skipped
+        """Drop cancelled entries everywhere. Pure storage is skipped
         outright: lazy bulk tuples are unreachable, so none can be
         cancelled."""
         if not self._open_pure:
@@ -531,7 +523,7 @@ class PhaseProfiler:
     Attach with ``sim.profiler = PhaseProfiler()``; ``run()`` then takes
     a profiled loop that times every event action (*dispatch*) and
     attributes the rest of the loop — slot scans, bucket sorts,
-    cascades, heap sifts, cancellation skips — to scheduler *advance*.
+    cascades, cancellation skips — to scheduler *advance*.
     The parallel worker layers two more phases on top of these
     (*sync_wait* for coordinator-pipe blocking and *idle* for the
     remainder) to reach a full breakdown of worker wall time; see
@@ -606,57 +598,34 @@ class Simulator:
         own derived streams (partition workers pass
         ``random.Random(derive_seed(seed, "worker", rank))``). Mutually
         exclusive with a non-default ``seed``.
-    scheduler:
-        ``"heap"`` (default) or ``"wheel"``. Both dispatch in the same
-        deterministic ``(time, seq)`` order; the wheel trades the
-        heap's O(log n) Python-comparison sifts for O(1) bucket
-        inserts plus one C-keyed sort per slot, which wins once the
-        pending set is large (see ``docs/performance.md``).
     wheel_granularity / wheel_slots:
-        Wheel tuning (ignored for the heap): slot width in simulated
-        seconds and slot count. The product is the wheel horizon;
-        events beyond it sit in the overflow heap until they cascade.
-    native:
-        Enable the native-speed event core (arena-pooled events from
-        :mod:`repro.netsim.arena` plus batch slot dispatch). Defaults
-        to the process-wide ``REPRO_NATIVE`` setting; pass an explicit
-        bool to override per simulator (equivalence tests run the same
-        workload both ways).
+        Wheel tuning: slot width in simulated seconds and slot count.
+        The product is the wheel horizon; events beyond it sit in the
+        overflow heap until they cascade.
     """
 
     def __init__(
         self,
         seed: int = 0,
-        scheduler: str = "heap",
         wheel_granularity: float = 0.001,
         wheel_slots: int = 8192,
         rng: Optional[random.Random] = None,
-        native: Optional[bool] = None,
     ) -> None:
-        if scheduler not in ("heap", "wheel"):
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} (expected 'heap' or 'wheel')"
-            )
         if rng is not None and seed != 0:
             raise SimulationError("pass either seed or rng, not both")
-        self._native = NATIVE if native is None else bool(native)
-        self._arena = ARENA if self._native else None
-        #: Batch slot dispatch tallies (wheel scheduler, native mode).
+        self._arena = ARENA
+        #: Batch slot dispatch tallies.
         self.batched_events = 0
         self.batched_slots = 0
         self._now = 0.0
         self._seq = 0
-        self._queue: list[Event] = []
         self._live = 0
         self._cancelled = 0
         self._running = False
         self.rng = rng if rng is not None else random.Random(seed)
         self.events_processed = 0
-        self.scheduler = scheduler
-        self._wheel: Optional[TimerWheel] = (
-            TimerWheel(self, granularity=wheel_granularity, num_slots=wheel_slots)
-            if scheduler == "wheel"
-            else None
+        self._wheel = TimerWheel(
+            self, granularity=wheel_granularity, num_slots=wheel_slots
         )
         #: Observability hooks called as ``fn(sim, event, wall_seconds)``
         #: after each event executes (see :mod:`repro.obs.hooks`). The
@@ -692,7 +661,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
         arena = self._arena
-        if arena is not None and arena.blocks:
+        if arena.blocks:
             event = arena.acquire()
             event.gen += 1
             event.time = self._now + delay
@@ -705,23 +674,20 @@ class Simulator:
             event.pooled = False
         else:
             event = Event(self._now + delay, self._seq, action, name, False, self, True)
+        # Inlined TimerWheel.insert() bucket-append common case — one
+        # less call per event on the bulk-scheduling path.
         wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._queue, event)
+        slot = int(event.time * wheel._scale)
+        cursor = wheel._cursor
+        if cursor < slot < cursor + wheel.num_slots:
+            index = slot % wheel.num_slots
+            if wheel._bucket_meta[index] is not None:
+                wheel._materialize_bucket(index)
+            wheel._buckets[index].append(event)
+            wheel._bucket_entries += 1
+            wheel.wheel_inserts += 1
         else:
-            # Inlined TimerWheel.insert() bucket-append common case —
-            # one less call per event on the bulk-scheduling path.
-            slot = int(event.time * wheel._scale)
-            cursor = wheel._cursor
-            if cursor < slot < cursor + wheel.num_slots:
-                index = slot % wheel.num_slots
-                if wheel._bucket_meta[index] is not None:
-                    wheel._materialize_bucket(index)
-                wheel._buckets[index].append(event)
-                wheel._bucket_entries += 1
-                wheel.wheel_inserts += 1
-            else:
-                wheel.insert(event)
+            wheel.insert(event)
         self._live += 1
         return event
 
@@ -748,7 +714,7 @@ class Simulator:
         )
         self._seq += 1
         arena = self._arena
-        if arena is not None and arena.blocks:
+        if arena.blocks:
             event = arena.acquire()
             event.gen += 1
             event.time = time
@@ -761,23 +727,20 @@ class Simulator:
             event.pooled = False
         else:
             event = Event(time, self._seq, action, name, False, self, True)
+        # Inlined TimerWheel.insert() bucket-append common case — see
+        # schedule().
         wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._queue, event)
+        slot = int(time * wheel._scale)
+        cursor = wheel._cursor
+        if cursor < slot < cursor + wheel.num_slots:
+            index = slot % wheel.num_slots
+            if wheel._bucket_meta[index] is not None:
+                wheel._materialize_bucket(index)
+            wheel._buckets[index].append(event)
+            wheel._bucket_entries += 1
+            wheel.wheel_inserts += 1
         else:
-            # Inlined TimerWheel.insert() bucket-append common case —
-            # see schedule().
-            slot = int(time * wheel._scale)
-            cursor = wheel._cursor
-            if cursor < slot < cursor + wheel.num_slots:
-                index = slot % wheel.num_slots
-                if wheel._bucket_meta[index] is not None:
-                    wheel._materialize_bucket(index)
-                wheel._buckets[index].append(event)
-                wheel._bucket_entries += 1
-                wheel.wheel_inserts += 1
-            else:
-                wheel.insert(event)
+            wheel.insert(event)
         self._live += 1
         if started:
             profiler.alloc_seconds += perf_counter() - started
@@ -795,23 +758,22 @@ class Simulator:
         :meth:`schedule_at` across the whole batch. Dispatch order —
         including ties, which keep input order — is exactly that of a
         sequential loop of ``schedule_at(time, action)`` calls over
-        ``items``. (Sequence numbers may be assigned per wheel bucket
+        ``items``. (Sequence numbers are assigned per wheel bucket
         rather than globally in input order, but within every bucket
         they ascend in input order and equal times always share a
         bucket, so the observable ``(time, seq)`` dispatch order is
-        identical on both schedulers.)
+        identical.)
 
-        On a native-mode simulator, in-horizon wheel entries are not
-        materialized at all: each pure bucket holds references to the
-        caller's ``(time, action)`` tuples, and a side tally built
-        during this single input-order scan lets the batch dispatcher
-        consume the whole slot in O(distinct actions) without a single
-        Event object ever existing (see ``_batch_slot``; slots it
-        declines are materialized from the arena's free list on
-        demand). Heap-scheduler and out-of-horizon entries come from
-        the arena free list (*pooled* — the engine recycles them after
-        dispatch, which is safe because this method returns a count, so
-        no caller can hold a reference).
+        In-horizon entries are not materialized at all: each pure
+        bucket holds references to the caller's ``(time, action)``
+        tuples, and a side tally built during this single input-order
+        scan lets the batch dispatcher consume the whole slot in
+        O(distinct actions) without a single Event object ever existing
+        (see ``_batch_slot``; slots it declines are materialized from
+        the arena's free list on demand). Out-of-horizon entries come
+        from the arena free list (*pooled* — the engine recycles them
+        after dispatch, which is safe because this method returns a
+        count, so no caller can hold a reference).
 
         Returns the number of events scheduled.
         """
@@ -830,241 +792,141 @@ class Simulator:
                 f"cannot schedule in the past "
                 f"(time={min(items, key=_ITEM_TIME)[0]}, now={now})"
             )
-        seq = self._seq
-        arena = self._arena
-        pooled = arena is not None
-        reused = 0
         wheel = self._wheel
-        if wheel is None:
-            # Consume one free-list block at a time as a local list: the
-            # hot loop then pays a single truthiness test per event
-            # instead of re-indexing the arena's block stack.
-            if pooled:
-                blocks = arena.blocks
-                pool = blocks.pop() if blocks else None
-            else:
-                blocks = None
-                pool = None
-            queue = self._queue
-            push = heapq.heappush
-            for time, action in items:
-                seq += 1
-                if pool:
-                    event = pool.pop()
-                    reused += 1
-                    event.gen += 1
-                    event.time = time
-                    event.seq = seq
-                    event.action = action
-                    event.name = name
-                    event.cancelled = False
-                    event.owner = self
-                    event._in_queue = True
-                    event.pooled = True
-                    if not pool:
-                        pool = blocks.pop() if blocks else None
-                else:
-                    event = Event(time, seq, action, name, False, self, True, 0, pooled)
-                push(queue, event)
-            if pool:
-                blocks.append(pool)
-            if reused:
-                arena.total -= reused
-                arena.acquired += reused
-        else:
-            buckets = wheel._buckets
-            metas = wheel._bucket_meta
-            num_slots = wheel.num_slots
-            scale = wheel._scale
-            cursor = wheel._cursor
-            limit = cursor + num_slots
-            overflow = 0
-            if pooled:
-                # Native fast path: one input-order scan (the items are
-                # iterated in allocation order — perfect locality) does
-                # ALL the per-item work. In-horizon items land in pure
-                # buckets as references to the caller's own tuples (no
-                # allocation at all) while the per-bucket action tally
-                # is folded on the fly; dispatch then never revisits
-                # them. base_seq stays None until the post-scan
-                # assignment, which doubles as the this-call marker.
-                touched: list[int] = []
-                fb_seq = seq  # fallback events take seqs (seq, seq+nf]
-                for item in items:
-                    time = item[0]
-                    slot = int(time * scale)
-                    if cursor < slot < limit:
-                        index = slot % num_slots
-                        meta = metas[index]
-                        if meta is not None:
-                            if meta[1] is None:
-                                # Pure bucket this call opened: append
-                                # the caller's tuple itself, fold tally.
-                                buckets[index].append(item)
-                                tally = meta[2]
-                                try:
-                                    entry = tally[item[1]]
-                                except KeyError:
-                                    tally[item[1]] = [1, time]
-                                else:
-                                    entry[0] += 1
-                                    if time > entry[1]:
-                                        entry[1] = time
-                            else:
-                                # Stale pure bucket (earlier bulk call,
-                                # seqs already fixed): join materialized.
-                                wheel._materialize_bucket(index)
-                                fb_seq += 1
-                                buckets[index].append(
-                                    self._bulk_event(time, fb_seq, item[1], name)
-                                )
+        buckets = wheel._buckets
+        metas = wheel._bucket_meta
+        num_slots = wheel.num_slots
+        scale = wheel._scale
+        cursor = wheel._cursor
+        limit = cursor + num_slots
+        overflow = 0
+        # One input-order scan (the items are iterated in allocation
+        # order — perfect locality) does ALL the per-item work.
+        # In-horizon items land in pure buckets as references to the
+        # caller's own tuples (no allocation at all) while the
+        # per-bucket action tally is folded on the fly; dispatch then
+        # never revisits them. base_seq stays None until the post-scan
+        # assignment, which doubles as the this-call marker.
+        touched: list[int] = []
+        fb_seq = self._seq  # fallback events take seqs (seq, seq+nf]
+        for item in items:
+            time = item[0]
+            slot = int(time * scale)
+            if cursor < slot < limit:
+                index = slot % num_slots
+                meta = metas[index]
+                if meta is not None:
+                    if meta[1] is None:
+                        # Pure bucket this call opened: append the
+                        # caller's tuple itself, fold the tally.
+                        buckets[index].append(item)
+                        tally = meta[2]
+                        try:
+                            entry = tally[item[1]]
+                        except KeyError:
+                            tally[item[1]] = [1, time]
                         else:
-                            bucket = buckets[index]
-                            if bucket:
-                                # Bucket already holds Events — join it
-                                # as one (representations never mix).
-                                fb_seq += 1
-                                bucket.append(
-                                    self._bulk_event(time, fb_seq, item[1], name)
-                                )
-                            else:
-                                metas[index] = [name, None, {item[1]: [1, time]}]
-                                touched.append(index)
-                                bucket.append(item)
+                            entry[0] += 1
+                            if time > entry[1]:
+                                entry[1] = time
                     else:
+                        # Stale pure bucket (earlier bulk call, seqs
+                        # already fixed): join it materialized.
+                        wheel._materialize_bucket(index)
                         fb_seq += 1
-                        wheel.insert(self._bulk_event(time, fb_seq, item[1], name))
-                        overflow += 1
-                # Reserve seq ranges for the pure buckets: consecutive
-                # from the first free seq after the fallbacks, one run
-                # per bucket in touch order. Ranges never interleave
-                # with the fallback seqs, within-bucket order is input
-                # order, and ties never straddle buckets (equal times
-                # share a slot) — so (time, seq) dispatch order matches
-                # a sequential schedule_at loop exactly.
-                base = fb_seq + 1
-                for index in touched:
-                    metas[index][1] = base
-                    base += len(buckets[index])
-                seq += n
-            else:
-                # Escape hatch (REPRO_NATIVE=0): classic materialized
-                # events; purity is never set, so batch dispatch and the
-                # arena stay out of the picture entirely.
-                for time, action in items:
-                    seq += 1
-                    event = Event(time, seq, action, name, False, self, True)
-                    slot = int(time * scale)
-                    if cursor < slot < limit:
-                        index = slot % num_slots
-                        buckets[index].append(event)
+                        buckets[index].append(
+                            self._bulk_event(time, fb_seq, item[1], name)
+                        )
+                else:
+                    bucket = buckets[index]
+                    if bucket:
+                        # Bucket already holds Events — join it as one
+                        # (representations never mix).
+                        fb_seq += 1
+                        bucket.append(self._bulk_event(time, fb_seq, item[1], name))
                     else:
-                        wheel.insert(event)
-                        overflow += 1
-            appended = n - overflow
-            wheel._bucket_entries += appended
-            wheel.wheel_inserts += appended
-        self._seq = seq
+                        metas[index] = [name, None, {item[1]: [1, time]}]
+                        touched.append(index)
+                        bucket.append(item)
+            else:
+                fb_seq += 1
+                wheel.insert(self._bulk_event(time, fb_seq, item[1], name))
+                overflow += 1
+        # Reserve seq ranges for the pure buckets: consecutive from the
+        # first free seq after the fallbacks, one run per bucket in
+        # touch order. Ranges never interleave with the fallback seqs,
+        # within-bucket order is input order, and ties never straddle
+        # buckets (equal times share a slot) — so (time, seq) dispatch
+        # order matches a sequential schedule_at loop exactly.
+        base = fb_seq + 1
+        for index in touched:
+            metas[index][1] = base
+            base += len(buckets[index])
+        appended = n - overflow
+        wheel._bucket_entries += appended
+        wheel.wheel_inserts += appended
+        self._seq += n
         self._live += n
         if started:
             profiler.alloc_seconds += perf_counter() - started
         return n
 
     def _bulk_event(self, time: float, seq: int, action, name: str) -> Event:
-        """Materialize one bulk item as a (pooled if possible) Event —
-        the rare schedule_bulk fallbacks: out-of-horizon inserts and
-        appends into a bucket that already holds Events."""
-        arena = self._arena
-        event = arena.acquire() if arena is not None else None
-        if event is not None:
-            event.gen += 1
-            event.time = time
-            event.seq = seq
-            event.action = action
-            event.name = name
-            event.cancelled = False
-            event.owner = self
-            event._in_queue = True
-            event.pooled = True
-            return event
-        return Event(
-            time, seq, action, name, False, self, True, 0, arena is not None
-        )
+        """Materialize one bulk item as a pooled Event — the rare
+        schedule_bulk fallbacks: out-of-horizon inserts and appends
+        into a bucket that already holds Events."""
+        event = self._arena.acquire()
+        if event is None:
+            return Event(time, seq, action, name, False, self, True, 0, True)
+        event.gen += 1
+        event.time = time
+        event.seq = seq
+        event.action = action
+        event.name = name
+        event.cancelled = False
+        event.owner = self
+        event._in_queue = True
+        event.pooled = True
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        if self._wheel is not None:
-            event = self._wheel.advance()
-            return None if event is None else event.time
-        while self._queue and self._queue[0].cancelled:
-            dead = heapq.heappop(self._queue)
-            dead._in_queue = False
-            self._cancelled -= 1
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        event = self._wheel.advance()
+        return None if event is None else event.time
 
     def peek_times(self, k: int) -> list[float]:
         """Times of the next up-to-``k`` pending events, ascending,
         without dispatching anything. The sharded runner's grant
-        ladders are built from these. O(k log k) on the heap (a
-        candidate-frontier walk over the heap array); on the wheel one
-        :meth:`TimerWheel.advance` for the exact head, then an
-        in-order scan of the open slot and forward buckets — slots
-        partition time monotonically, so the scan stops as soon as k
-        candidates are in hand at a slot boundary."""
+        ladders are built from these: one :meth:`TimerWheel.advance`
+        for the exact head, then an in-order scan of the open slot and
+        forward buckets — slots partition time monotonically, so the
+        scan stops as soon as k candidates are in hand at a slot
+        boundary."""
         if k <= 0:
             return []
         if k == 1:
             head = self.peek_time()
             return [] if head is None else [head]
-        if self._wheel is not None:
-            return self._wheel.peek_times(k)
-        head = self.peek_time()  # clears cancelled events off the top
-        if head is None:
-            return []
-        queue = self._queue
-        out: list[float] = []
-        frontier = [(queue[0].time, 0)]
-        while frontier and len(out) < k:
-            when, at = heapq.heappop(frontier)
-            if not queue[at].cancelled:
-                out.append(when)
-            for child in (2 * at + 1, 2 * at + 2):
-                if child < len(queue):
-                    heapq.heappush(frontier, (queue[child].time, child))
-        return out
+        return self._wheel.peek_times(k)
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for an in-queue cancellation: keep ``pending()``
-        O(1) and compact the queue once cancelled events outnumber live
+        O(1) and compact the wheel once cancelled events outnumber live
         ones (otherwise long-lived runs that churn timers leak)."""
         self._live -= 1
         self._cancelled += 1
-        if self._wheel is not None:
-            if (
-                len(self._wheel) >= _COMPACT_MIN_QUEUE
-                and self._cancelled * 2 > len(self._wheel)
-            ):
-                self._wheel.compact()
-                self._cancelled = 0
-            return
-        if (
-            len(self._queue) >= _COMPACT_MIN_QUEUE
-            and self._cancelled * 2 > len(self._queue)
-        ):
-            self._compact()
+        wheel = self._wheel
+        if len(wheel) >= _COMPACT_MIN_QUEUE and self._cancelled * 2 > len(wheel):
+            wheel.compact()
+            self._cancelled = 0
 
-    def _compact(self) -> None:
-        for event in self._queue:
-            if event.cancelled:
-                event._in_queue = False
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled = 0
-
-    def _dispatch(self, event: Event) -> None:
-        """Fire one live, already-popped event."""
+    def step(self) -> bool:
+        """Run the single next event. Returns False if none remain."""
+        event = self._wheel.advance()
+        if event is None:
+            return False
+        self._wheel.consume()
+        event._in_queue = False
         self._live -= 1
         self._now = event.time
         self.events_processed += 1
@@ -1076,26 +938,7 @@ class Simulator:
                 listener(self, event, wall)
         else:
             event.action()
-
-    def step(self) -> bool:
-        """Run the single next event. Returns False if none remain."""
-        if self._wheel is not None:
-            event = self._wheel.advance()
-            if event is None:
-                return False
-            self._wheel.consume()
-            event._in_queue = False
-            self._dispatch(event)
-            return True
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            event._in_queue = False
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._dispatch(event)
-            return True
-        return False
+        return True
 
     def add_dispatch_listener(
         self, listener: Callable[["Simulator", Event, float], None]
@@ -1137,46 +980,12 @@ class Simulator:
         try:
             if self.profiler is not None:
                 ran = self._run_profiled(until, max_events, inclusive)
-            elif self._wheel is not None:
-                ran = self._run_wheel(until, max_events, inclusive)
             else:
-                ran = self._run_heap(until, max_events, inclusive)
+                ran = self._run_wheel(until, max_events, inclusive)
         finally:
             self._running = False
         if until is not None and self._now < until:
             self._now = until
-        return ran
-
-    def _run_heap(
-        self, until: Optional[float], max_events: Optional[int], inclusive: bool = True
-    ) -> int:
-        ran = 0
-        # One heap touch per iteration: discard cancelled events from
-        # the head, then pop-and-dispatch in the same pass (the seed
-        # peeked via peek_time() and then re-examined the heap top
-        # inside step() — two inspections per event).
-        while True:
-            if max_events is not None and ran >= max_events:
-                break
-            queue = self._queue  # _compact() may rebind the list
-            while queue and queue[0].cancelled:
-                dead = heapq.heappop(queue)
-                dead._in_queue = False
-                self._cancelled -= 1
-            if not queue:
-                break
-            if until is not None and (
-                queue[0].time > until or (not inclusive and queue[0].time >= until)
-            ):
-                break
-            event = heapq.heappop(queue)
-            event._in_queue = False
-            self._dispatch(event)
-            ran += 1
-            if event.pooled:
-                arena = self._arena
-                if arena is not None:
-                    arena.release(event)
         return ran
 
     def _batch_slot(
@@ -1262,8 +1071,7 @@ class Simulator:
         # Fully inlined dispatch loop. The common case — a live event
         # already positioned in the open slot — runs with no method
         # calls besides the action itself; advance() only fires on slot
-        # boundaries, cancellations, and cascades. The heap loop keeps
-        # its shape: it is the equivalence oracle, not the fast path.
+        # boundaries, cancellations, and cascades.
         ran = 0
         wheel = self._wheel
         advance = wheel.advance
@@ -1309,7 +1117,7 @@ class Simulator:
                 break
             wheel._open_pos += 1  # consume(): advance left the cursor here
             event._in_queue = False
-            # _dispatch(), inlined:
+            # Dispatch, inlined:
             self._live -= 1
             self._now = event.time
             self.events_processed += 1
@@ -1327,45 +1135,29 @@ class Simulator:
     def _run_profiled(
         self, until: Optional[float], max_events: Optional[int], inclusive: bool = True
     ) -> int:
-        # Scheduler-agnostic dispatch loop with phase timing: every
-        # action is timed individually (dispatch wall) and the rest of
-        # the loop — advance/cascade/sort for the wheel, sift/skip for
-        # the heap — is charged to scheduler advance. Dispatch order is
-        # identical to the fast loops (same (time, seq) discipline);
-        # only wall-clock observation is added.
+        # Dispatch loop with phase timing: every action is timed
+        # individually (dispatch wall) and the rest of the loop —
+        # advance/cascade/sort — is charged to scheduler advance.
+        # Dispatch order is identical to the fast loop (same (time,
+        # seq) discipline); only wall-clock observation is added.
         profiler = self.profiler
         listeners = self._dispatch_listeners
         wheel = self._wheel
-        limit_slot = (
-            None if until is None or wheel is None else int(until * wheel._scale)
-        )
+        limit_slot = None if until is None else int(until * wheel._scale)
         ran = 0
         dispatch_wall = 0.0
         loop_started = perf_counter()
         while True:
             if max_events is not None and ran >= max_events:
                 break
-            if wheel is not None:
-                event = wheel.advance(limit_slot)
-                if event is None:
-                    break
-            else:
-                queue = self._queue  # _compact() may rebind the list
-                while queue and queue[0].cancelled:
-                    dead = heapq.heappop(queue)
-                    dead._in_queue = False
-                    self._cancelled -= 1
-                if not queue:
-                    break
-                event = queue[0]
+            event = wheel.advance(limit_slot)
+            if event is None:
+                break
             if until is not None and (
                 event.time > until or (not inclusive and event.time >= until)
             ):
                 break
-            if wheel is not None:
-                wheel.consume()
-            else:
-                heapq.heappop(self._queue)
+            wheel.consume()
             event._in_queue = False
             self._live -= 1
             self._now = event.time
@@ -1392,22 +1184,13 @@ class Simulator:
 
     def scheduler_stats(self) -> dict:
         """Counters describing scheduler behaviour (for perf reports
-        and the obs gauges). Shape depends on the active scheduler."""
-        if self._wheel is None:
-            stats = {
-                "scheduler": "heap",
-                "inserts": self._seq,
-                "pending": self._live,
-            }
-        else:
-            stats = self._wheel.stats()
-            stats["scheduler"] = "wheel"
-            stats["pending"] = self._live
-        stats["native"] = self._native
+        and the obs gauges)."""
+        stats = self._wheel.stats()
+        stats["scheduler"] = "wheel"
+        stats["pending"] = self._live
         stats["batched_events"] = self.batched_events
         stats["batched_slots"] = self.batched_slots
-        if self._arena is not None:
-            stats["arena"] = self._arena.stats()
+        stats["arena"] = self._arena.stats()
         return stats
 
 

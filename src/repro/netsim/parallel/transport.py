@@ -26,7 +26,7 @@ Crash safety: a worker dying mid-frame must surface as a
 the coordinator (the child process' liveness).
 
 ``REPRO_TRANSPORT`` (``shm`` or ``pipe``) forces the mp transport
-choice process-wide, the same override idiom as ``REPRO_NATIVE``.
+choice process-wide.
 """
 
 from __future__ import annotations

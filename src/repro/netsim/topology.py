@@ -31,11 +31,10 @@ class Topology:
         self,
         sim: Optional[Simulator] = None,
         seed: int = 0,
-        scheduler: str = "heap",
         wheel_granularity: float = 0.001,
     ) -> None:
         self.sim = sim if sim is not None else Simulator(
-            seed=seed, scheduler=scheduler, wheel_granularity=wheel_granularity
+            seed=seed, wheel_granularity=wheel_granularity
         )
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
@@ -179,11 +178,11 @@ class TopologyBuilder:
     """Named topology generators used throughout tests and benchmarks."""
 
     @staticmethod
-    def line(n: int, delay: float = 0.001, seed: int = 0, scheduler: str = "heap") -> Topology:
+    def line(n: int, delay: float = 0.001, seed: int = 0) -> Topology:
         """n nodes in a chain: n0 - n1 - ... - n(n-1)."""
         if n < 1:
             raise TopologyError("line needs at least 1 node")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         for i in range(n):
             topo.add_node(f"n{i}")
         for i in range(n - 1):
@@ -191,11 +190,11 @@ class TopologyBuilder:
         return topo
 
     @staticmethod
-    def star(n_leaves: int, delay: float = 0.001, seed: int = 0, scheduler: str = "heap") -> Topology:
+    def star(n_leaves: int, delay: float = 0.001, seed: int = 0) -> Topology:
         """A hub ("hub") with ``n_leaves`` leaves ("leaf0"...)."""
         if n_leaves < 1:
             raise TopologyError("star needs at least 1 leaf")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         topo.add_node("hub")
         for i in range(n_leaves):
             topo.add_node(f"leaf{i}")
@@ -208,7 +207,6 @@ class TopologyBuilder:
         fanout: int = 2,
         delay: float = 0.001,
         seed: int = 0,
-        scheduler: str = "heap",
     ) -> Topology:
         """A rooted balanced tree. Node names: "r" (root), then
         "d<level>_<index>" per level. §5.3's million-member tree is
@@ -217,7 +215,7 @@ class TopologyBuilder:
         """
         if depth < 0 or fanout < 1:
             raise TopologyError("tree needs depth >= 0 and fanout >= 1")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         topo.add_node("r")
         previous = ["r"]
         for level in range(1, depth + 1):
@@ -239,7 +237,6 @@ class TopologyBuilder:
         extra_edge_prob: float = 0.08,
         delay: float = 0.001,
         seed: int = 0,
-        scheduler: str = "heap",
     ) -> Topology:
         """A connected random graph: a random spanning tree plus extra
         random edges with probability ``extra_edge_prob`` per pair.
@@ -247,7 +244,7 @@ class TopologyBuilder:
         """
         if n < 1:
             raise TopologyError("random graph needs at least 1 node")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         rng = topo.sim.rng
         names = [f"n{i}" for i in range(n)]
         for name in names:
@@ -274,7 +271,6 @@ class TopologyBuilder:
         stub_delay: float = 0.002,
         host_delay: float = 0.001,
         seed: int = 0,
-        scheduler: str = "heap",
         wheel_granularity: float = 0.001,
     ) -> Topology:
         """A two-level transit/stub internetwork.
@@ -284,15 +280,13 @@ class TopologyBuilder:
         router serves ``hosts_per_stub`` hosts. Host names are
         "h<t>_<s>_<k>"; stub routers "e<t>_<s>"; transit routers "t<t>".
 
-        ``wheel_granularity`` tunes the wheel scheduler's slot width
+        ``wheel_granularity`` tunes the timer wheel's slot width
         (dispatch order is granularity-independent); bulk-scheduled
         storms want coarser slots so batch dispatch sees full buckets.
         """
         if n_transit < 1:
             raise TopologyError("need at least one transit router")
-        topo = Topology(
-            seed=seed, scheduler=scheduler, wheel_granularity=wheel_granularity
-        )
+        topo = Topology(seed=seed, wheel_granularity=wheel_granularity)
         for t in range(n_transit):
             topo.add_node(f"t{t}")
         if n_transit == 2:
@@ -315,14 +309,14 @@ class TopologyBuilder:
         return topo
 
     @staticmethod
-    def lan(n_hosts: int, delay: float = 0.0001, seed: int = 0, scheduler: str = "heap") -> Topology:
+    def lan(n_hosts: int, delay: float = 0.0001, seed: int = 0) -> Topology:
         """One edge router ("gw") with ``n_hosts`` directly-attached
         hosts — the IGMP/UDP-mode test topology. (We model the LAN as a
         star of point-to-point links; the UDP-mode agent replicates
         queries to all host interfaces, which is observationally
         equivalent to a multicast-capable LAN for protocol purposes.)
         """
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         topo.add_node("gw")
         for i in range(n_hosts):
             topo.add_node(f"h{i}")

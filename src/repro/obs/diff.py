@@ -77,6 +77,7 @@ HIGHER_IS_BETTER = (
     "fraction",
     "reduction",
     "hits",
+    "_share",
 )
 
 

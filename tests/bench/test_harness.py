@@ -188,14 +188,14 @@ def fake_report(**summary) -> dict:
         "dijkstra_savings_ratio": 10.0,
         "ecmp_bytes_on_wire": 50_000,
         "wire_message_reduction": 5.0,
-        "wheel_speedup": 3.0,
+        "mega_batched_share": 0.9,
         "mega_events_per_sec": 2e6,
         "partition_speedup": 2.0,
         "sync_efficiency": 0.9,
         "null_ratio_reduction": 10.0,
         "sync_message_reduction": 3.5,
         "zap_events_per_sec": 1500.0,
-        "state_churn_speedup": 4.0,
+        "refresh_records_examined": 200,
         "convergence_seconds": 0.5,
         "blast_radius": 0.6,
     }

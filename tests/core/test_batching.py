@@ -22,7 +22,6 @@ from repro.core.ecmp.messages import (
     EcmpBatch,
     decode_batch,
     encode_batch,
-    set_zero_copy,
 )
 from repro.errors import CodecError
 from repro.core.ecmp.protocol import DirtyChannelQueue, EcmpAgent
@@ -209,8 +208,7 @@ class TestMutatedFrameDecoding:
     frame mangled on the wire — duplicated then truncated, torn
     mid-record, concatenated with its own copy — must raise
     :class:`CodecError` from ``decode_batch`` rather than partially
-    apply a plausible prefix of records. Pinned on both codecs; the
-    adversarial byte strings come from the fault subsystem's
+    apply a plausible prefix of records. The adversarial byte strings come from the fault subsystem's
     :meth:`WireMutator.mutate_bytes` applied to real encoder output.
     """
 
@@ -229,30 +227,24 @@ class TestMutatedFrameDecoding:
         )
         return encode_batch(messages), messages
 
-    @pytest.fixture(params=[True, False], ids=["zero_copy", "legacy"])
-    def codec(self, request):
-        prior = set_zero_copy(request.param)
-        yield request.param
-        set_zero_copy(prior)
-
-    def test_duplicated_then_truncated_raises_not_partial(self, line_net, codec):
+    def test_duplicated_then_truncated_raises_not_partial(self, line_net):
         frame, messages = self.make_frame(line_net)
         for cut in range(1, len(frame)):
             mangled = frame + frame[:cut]
             with pytest.raises(CodecError):
                 decode_batch(mangled)
 
-    def test_every_truncation_point_raises(self, line_net, codec):
+    def test_every_truncation_point_raises(self, line_net):
         frame, messages = self.make_frame(line_net)
         for cut in range(len(frame)):
             with pytest.raises(CodecError):
                 decode_batch(frame[:cut])
 
-    def test_clean_frame_still_round_trips(self, line_net, codec):
+    def test_clean_frame_still_round_trips(self, line_net):
         frame, messages = self.make_frame(line_net)
         assert decode_batch(frame) == messages
 
-    def test_wire_mutator_fuzz_never_partially_applies(self, line_net, codec):
+    def test_wire_mutator_fuzz_never_partially_applies(self, line_net):
         """Every non-identical byte string the mutator can produce from
         a valid frame either round-trips in full or raises — the decode
         never returns a shortened record list."""

@@ -8,8 +8,7 @@ silently absorbed into the authenticator), and a syntactically valid
 but *forged* key must cross the real wire intact and be rejected by
 the upstream validator with ``INVALID_AUTHENTICATOR`` — exercised
 end-to-end with ``wire_format=True`` so every hop encodes and parses
-real bytes. Both codec implementations (the zero-copy fast path and
-the legacy concatenating one) are pinned to identical behavior.
+real bytes.
 """
 
 import pytest
@@ -23,7 +22,6 @@ from repro.core.ecmp.messages import (
     decode_message,
     encode_batch,
     encode_message,
-    set_zero_copy,
 )
 from repro.core.keys import ChannelKey, make_key
 from repro.core.network import ExpressNetwork
@@ -34,14 +32,6 @@ from repro.netsim.topology import TopologyBuilder
 CH = Channel.of(parse_address("10.9.0.1"), 7)
 
 
-@pytest.fixture(params=["zero_copy", "legacy"])
-def codec(request):
-    """Run each case under both codec implementations."""
-    prior = set_zero_copy(request.param == "zero_copy")
-    yield request.param
-    set_zero_copy(prior)
-
-
 def keyed_count(key: ChannelKey) -> bytes:
     return encode_message(
         Count(channel=CH, count_id=SUBSCRIBER_ID, count=3, key=key)
@@ -49,7 +39,7 @@ def keyed_count(key: ChannelKey) -> bytes:
 
 
 class TestKeyFraming:
-    def test_keyed_count_round_trips_key_bytes(self, codec):
+    def test_keyed_count_round_trips_key_bytes(self):
         key = make_key(CH)
         decoded = decode_message(keyed_count(key))
         assert decoded.key == key
@@ -57,7 +47,7 @@ class TestKeyFraming:
         assert len(decoded.key.value) == KEY_BYTES
 
     @pytest.mark.parametrize("missing", [1, KEY_BYTES - 1, KEY_BYTES])
-    def test_truncated_key_fails_framing(self, codec, missing):
+    def test_truncated_key_fails_framing(self, missing):
         # Chop bytes off the authenticator: the KEY flag promises 8 key
         # bytes, so a short buffer is a framing error — it must never
         # surface as a short ChannelKey (whose constructor would raise
@@ -66,14 +56,14 @@ class TestKeyFraming:
         with pytest.raises(CodecError, match="Count body truncated"):
             decode_message(frame[:-missing])
 
-    def test_extra_key_bytes_fail_strictness(self, codec):
+    def test_extra_key_bytes_fail_strictness(self):
         # A forger padding the authenticator field must fail framing,
         # not have the surplus silently ignored.
         frame = keyed_count(make_key(CH)) + b"\x00"
         with pytest.raises(CodecError, match="trailing bytes after Count"):
             decode_message(frame)
 
-    def test_truncated_key_inside_batch_names_the_record(self, codec):
+    def test_truncated_key_inside_batch_names_the_record(self):
         frame = bytearray(encode_batch([
             Count(channel=CH, count_id=SUBSCRIBER_ID, count=1),
             Count(channel=CH, count_id=SUBSCRIBER_ID, count=2, key=make_key(CH)),
@@ -83,7 +73,7 @@ class TestKeyFraming:
         with pytest.raises(CodecError, match="batch record 1 truncated"):
             decode_batch(bytes(frame[:-2]))
 
-    def test_forged_key_crosses_codec_intact(self, codec):
+    def test_forged_key_crosses_codec_intact(self):
         # A wrong-but-well-formed key is not the codec's business: it
         # must arrive byte-identical for the key cache to reject.
         forged = ChannelKey(b"badbadba")
@@ -117,7 +107,7 @@ class TestForgedKeyOverWire:
         src.channel_key(ch, key)
         return src, ch, key
 
-    def test_forged_key_denied_end_to_end(self, wire_net, codec):
+    def test_forged_key_denied_end_to_end(self, wire_net):
         net = wire_net
         src, ch, key = self._keyed_channel(net)
         statuses = []
@@ -133,7 +123,7 @@ class TestForgedKeyOverWire:
         assert "denied" in statuses
         assert net.nodes_on_tree(ch) == set()
 
-    def test_valid_key_accepted_end_to_end(self, wire_net, codec):
+    def test_valid_key_accepted_end_to_end(self, wire_net):
         net = wire_net
         src, ch, key = self._keyed_channel(net)
         got = []

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.arena import ARENA, NATIVE, POOL_CAP, EventArena
+from repro.netsim.arena import ARENA, POOL_CAP, EventArena
 from repro.netsim.engine import Event, Simulator
 
 
@@ -32,8 +32,8 @@ class TestEventArena:
     def test_release_then_acquire_roundtrips_lifo(self):
         arena = EventArena()
         first, second = make_event(1), make_event(2)
-        arena.release(first)
-        arena.release(second)
+        arena.release_block([first])
+        arena.release_block([second])
         assert arena.total == 2
         # LIFO: the most recently released record comes back first.
         assert arena.acquire() is second
@@ -61,7 +61,7 @@ class TestEventArena:
     def test_cap_drops_overflow_releases(self):
         arena = EventArena(cap=3)
         for i in range(5):
-            arena.release(make_event(i))
+            arena.release_block([make_event(i)])
         assert arena.total == 3
         assert arena.dropped == 2
         # A whole block that would burst the cap is dropped entirely.
@@ -72,7 +72,7 @@ class TestEventArena:
 
     def test_stats_keys_and_counts(self):
         arena = EventArena(cap=8)
-        arena.release(make_event())
+        arena.release_block([make_event()])
         arena.acquire()
         stats = arena.stats()
         assert stats == {
@@ -93,7 +93,6 @@ class TestEventArena:
     def test_global_arena_is_native_capped(self):
         assert isinstance(ARENA, EventArena)
         assert ARENA.cap == POOL_CAP
-        assert isinstance(NATIVE, bool)
 
 
 def run_bulk_round(sim: Simulator, n: int, offset: float) -> None:
@@ -109,16 +108,16 @@ class TestRecycleSafety:
 
     def test_gen_bumps_on_reuse(self):
         ARENA.clear()
-        sim = Simulator(scheduler="wheel", wheel_slots=64, native=True)
+        sim = Simulator(wheel_slots=64)
         run_bulk_round(sim, 32, 0.01)
         recycled = ARENA.acquire()
         if recycled is None:
             pytest.skip("pool capped out by earlier tests")
         gen_before = recycled.gen
-        ARENA.release(recycled)
+        ARENA.release_block([recycled])
         # Drive another full round: the engine re-acquires the record and
         # must bump gen so old handles can tell it changed hands.
-        sim2 = Simulator(scheduler="wheel", wheel_slots=64, native=True)
+        sim2 = Simulator(wheel_slots=64)
         run_bulk_round(sim2, 64, 0.01)
         assert recycled.gen > gen_before
 
@@ -152,8 +151,7 @@ class TestRecycleSafety:
                 live.append((event, event.gen))
                 counter += 1
             # Drain: every live record returns to the pool.
-            for event, _ in live:
-                arena.release(event)
+            arena.release_block([event for event, _ in live])
             stale = live
             live = []
             # Re-acquire some of the drained records (new incarnations).
@@ -177,8 +175,5 @@ class TestRecycleSafety:
                 event.cancelled = False  # reset for the next round
         assert counter == sum(rounds)
 
-    def test_simulator_native_flag_controls_pooling(self):
-        on = Simulator(scheduler="wheel", wheel_slots=64, native=True)
-        off = Simulator(scheduler="wheel", wheel_slots=64, native=False)
-        assert on._arena is ARENA
-        assert off._arena is None
+    def test_every_simulator_pools_through_the_global_arena(self):
+        assert Simulator(wheel_slots=64)._arena is ARENA

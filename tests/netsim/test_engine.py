@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.netsim.engine import PeriodicTask, Simulator, call_repeatedly
+from tests.heap_scheduler import HeapSimulator
 
 
 class TestScheduling:
@@ -199,18 +200,21 @@ class TestPeriodicTask:
 
 
 class TestHeapCompaction:
+    """Compaction of the pending set: the wheel's buckets and its
+    overflow heap (events past the 8.192 s default horizon)."""
+
     def test_mass_cancellation_compacts_the_heap(self):
         sim = Simulator()
         events = [sim.schedule(10.0 + i, lambda: None) for i in range(200)]
         for event in events[:150]:
             event.cancel()
-        # Once cancelled events outnumbered live ones the heap was
-        # rebuilt; at most a sub-majority of cancelled entries remain
-        # (compaction is amortized, not eager).
-        assert len(sim._queue) < 2 * 50
+        # Once cancelled events outnumbered live ones the overflow heap
+        # was rebuilt; at most a sub-majority of cancelled entries
+        # remain (compaction is amortized, not eager).
+        assert len(sim._wheel) < 2 * 50
         assert sim.pending() == 50
         assert sim.run() == 50
-        assert len(sim._queue) == 0
+        assert len(sim._wheel) == 0
 
     def test_pending_is_exact_through_churn(self):
         sim = Simulator()
@@ -242,7 +246,7 @@ class TestHeapCompaction:
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         event.cancel()
-        assert sim.peek_time() is None  # lazily dropped from the heap
+        assert sim.peek_time() is None  # lazily dropped from the queue
         event.cancel()
         assert sim.pending() == 0
 
@@ -266,9 +270,9 @@ class TestHeapCompaction:
         events = [sim.schedule(1.0 + i, lambda: None) for i in range(10)]
         for event in events[:9]:
             event.cancel()
-        # Below the size floor the heap keeps the cancelled entries
+        # Below the size floor the queue keeps the cancelled entries
         # (they drain lazily), but pending() is still exact.
-        assert len(sim._queue) == 10
+        assert len(sim._wheel) == 10
         assert sim.pending() == 1
 
 
@@ -330,8 +334,8 @@ class TestPeriodicJitterBounds:
 
 
 class TestRunFastPath:
-    """run() pops the next live event directly (single heap touch)
-    instead of peek_time()+step(); semantics must match exactly."""
+    """run() dispatches the next live event inline instead of
+    peek_time()+step(); semantics must match exactly."""
 
     def test_cancelled_head_events_are_drained(self):
         sim = Simulator()
@@ -414,8 +418,8 @@ class TestRunFastPath:
         assert sim_run.events_processed == sim_step.events_processed
 
     def test_run_survives_compaction_rebinding_the_heap(self):
-        # _compact() rebuilds self._queue as a new list; run()'s local
-        # alias must refresh per iteration or it would drain a stale heap.
+        # Compaction rebuilds the wheel's overflow heap as a new list;
+        # the run loop must not keep draining a stale alias of it.
         sim = Simulator()
         order = []
         events = [sim.schedule(10.0 + k, lambda: None) for k in range(300)]
@@ -529,8 +533,8 @@ class TestPeekTimes:
 
         rng = random.Random(0xB07)
         times = [round(rng.uniform(0.001, 5.0), 6) for _ in range(200)]
-        heap_sim = Simulator()
-        wheel_sim = Simulator(scheduler="wheel")
+        heap_sim = HeapSimulator()
+        wheel_sim = Simulator()
         for when in times:
             heap_sim.schedule(when, lambda: None)
             wheel_sim.schedule(when, lambda: None)
@@ -540,7 +544,7 @@ class TestPeekTimes:
             assert wheel_sim.peek_times(k) == expected
 
     def test_wheel_overflow_and_cancelled(self):
-        sim = Simulator(scheduler="wheel")
+        sim = Simulator()
         sim.schedule(0.001, lambda: None)
         doomed = sim.schedule(0.002, lambda: None)
         # Far-future events land in the wheel's overflow heap.

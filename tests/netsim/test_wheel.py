@@ -1,9 +1,9 @@
 """Timer-wheel scheduler unit tests.
 
 The broad engine contract (ordering, cancellation, ``until``
-semantics, compaction) is pinned for the heap in ``test_engine``;
-``tests/properties/test_scheduler_equivalence`` pins heap≡wheel over
-randomized workloads. This file targets the wheel's own machinery:
+semantics, compaction) is pinned in ``test_engine``;
+``tests/properties/test_scheduler_equivalence`` pins the wheel against
+a heapq reference scheduler over randomized workloads. This file targets the wheel's own machinery:
 slot/bucket placement, the open-slot bisect path, the overflow heap
 and cascade, the empty-slot jump, the ``run(until=...)`` cursor bound,
 and the wheel-specific stats surfaced in perf reports.
@@ -15,30 +15,20 @@ from repro.errors import SimulationError
 from repro.netsim.engine import Simulator, TimerWheel
 
 
-def wheel_sim(**kwargs) -> Simulator:
-    kwargs.setdefault("scheduler", "wheel")
-    return Simulator(**kwargs)
-
-
 class TestConstruction:
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(scheduler="calendar")
-
-    def test_wheel_only_built_in_wheel_mode(self):
-        assert Simulator(scheduler="heap")._wheel is None
-        assert isinstance(wheel_sim()._wheel, TimerWheel)
+    def test_every_simulator_runs_on_the_wheel(self):
+        assert isinstance(Simulator()._wheel, TimerWheel)
 
     def test_invalid_wheel_tuning_rejected(self):
         with pytest.raises(SimulationError):
-            wheel_sim(wheel_granularity=0.0)
+            Simulator(wheel_granularity=0.0)
         with pytest.raises(SimulationError):
-            wheel_sim(wheel_slots=0)
+            Simulator(wheel_slots=0)
 
 
 class TestPlacement:
     def test_near_events_go_to_buckets_not_overflow(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=100)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=100)
         for i in range(10):
             sim.schedule_at(0.001 * i, lambda: None)
         stats = sim.scheduler_stats()
@@ -46,7 +36,7 @@ class TestPlacement:
         assert stats["overflow_inserts"] == 0
 
     def test_beyond_horizon_goes_to_overflow(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=100)  # horizon 0.1s
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=100)  # horizon 0.1s
         sim.schedule_at(0.05, lambda: None)
         sim.schedule_at(5.0, lambda: None)
         stats = sim.scheduler_stats()
@@ -54,7 +44,7 @@ class TestPlacement:
         assert stats["overflow_inserts"] == 1
 
     def test_overflow_cascades_and_dispatches_in_order(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)  # horizon 64ms
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=64)  # horizon 64ms
         got = []
         sim.schedule_at(10.0, lambda: got.append("far"))
         sim.schedule_at(0.5, lambda: got.append("mid"))
@@ -66,7 +56,7 @@ class TestPlacement:
     def test_empty_slot_jump_skips_dead_time(self):
         # 1000 slots of 1ms: events 50 simulated seconds apart would
         # mean ~50k slot scans without the jump optimization.
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=1000)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=1000)
         got = []
         for k in range(4):
             sim.schedule_at(50.0 * k + 0.001, lambda k=k: got.append(k))
@@ -77,7 +67,7 @@ class TestPlacement:
     def test_mid_dispatch_insert_into_open_slot(self):
         # A zero-delay follow-up lands in the currently-open slot and
         # must still run after its scheduler (time tie → seq order).
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
 
         def first():
@@ -92,7 +82,7 @@ class TestPlacement:
 
 class TestRunSemantics:
     def test_until_is_inclusive_and_advances_clock(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         sim.schedule_at(1.0, lambda: got.append("at"))
         sim.schedule_at(1.5, lambda: got.append("late"))
@@ -107,7 +97,7 @@ class TestRunSemantics:
         # the cursor to that event's slot — if it did, every event
         # scheduled afterwards would take the open-slot bisect path
         # instead of a bucket append.
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=8192)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=8192)
         sim.schedule_at(30.0, lambda: None)  # keepalive-style timer
         sim.run(until=0.01)
         before = sim.scheduler_stats()["wheel_inserts"]
@@ -118,7 +108,7 @@ class TestRunSemantics:
         assert sim._wheel._cursor <= int(0.01 / 0.001) + 1
 
     def test_max_events_leaves_remainder(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         for i in range(5):
             sim.schedule_at(0.01 * (i + 1), lambda i=i: got.append(i))
@@ -128,7 +118,7 @@ class TestRunSemantics:
         assert got == [0, 1, 2, 3, 4]
 
     def test_peek_time_sees_next_live_event(self):
-        sim = wheel_sim()
+        sim = Simulator()
         a = sim.schedule_at(0.5, lambda: None)
         sim.schedule_at(1.0, lambda: None)
         assert sim.peek_time() == 0.5
@@ -136,7 +126,7 @@ class TestRunSemantics:
         assert sim.peek_time() == 1.0
 
     def test_step_dispatches_single_event(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         sim.schedule_at(0.1, lambda: got.append("a"))
         sim.schedule_at(0.2, lambda: got.append("b"))
@@ -147,7 +137,7 @@ class TestRunSemantics:
 
 class TestCancellation:
     def test_cancelled_event_in_bucket_is_skipped(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         event = sim.schedule_at(0.05, lambda: got.append("dead"))
         sim.schedule_at(0.06, lambda: got.append("live"))
@@ -156,7 +146,7 @@ class TestCancellation:
         assert got == ["live"]
 
     def test_cancelled_event_in_overflow_is_skipped(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=16)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=16)
         got = []
         event = sim.schedule_at(9.0, lambda: got.append("dead"))
         sim.schedule_at(10.0, lambda: got.append("live"))
@@ -165,7 +155,7 @@ class TestCancellation:
         assert got == ["live"]
 
     def test_pending_is_exact_through_churn(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=32)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=32)
         events = [
             sim.schedule_at(0.001 * i if i % 2 else 1.0 + i, lambda: None)
             for i in range(200)
@@ -178,7 +168,7 @@ class TestCancellation:
         assert sim.pending() == 0
 
     def test_mass_cancellation_compacts(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=32)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=32)
         keep = [sim.schedule_at(0.001 + 0.0005 * i, lambda: None) for i in range(10)]
         drop = [sim.schedule_at(2.0 + 0.001 * i, lambda: None) for i in range(300)]
         for event in drop:
@@ -189,7 +179,7 @@ class TestCancellation:
         assert sim.run() == len(keep)
 
     def test_double_cancel_counts_once(self):
-        sim = wheel_sim()
+        sim = Simulator()
         sim.schedule_at(0.5, lambda: None)
         event = sim.schedule_at(0.2, lambda: None)
         event.cancel()
@@ -200,7 +190,7 @@ class TestCancellation:
 
 class TestStats:
     def test_scheduler_stats_shape(self):
-        sim = wheel_sim(wheel_granularity=0.002, wheel_slots=128)
+        sim = Simulator(wheel_granularity=0.002, wheel_slots=128)
         sim.schedule_at(0.01, lambda: None)
         sim.schedule_at(99.0, lambda: None)
         sim.run()
@@ -212,13 +202,10 @@ class TestStats:
         assert stats["overflow_inserts"] == 1
         assert 0.0 <= stats["wheel_insert_share"] <= 1.0
         assert stats["pending"] == 0
-
-    def test_heap_stats_shape(self):
-        sim = Simulator(scheduler="heap")
-        sim.schedule_at(0.01, lambda: None)
-        stats = sim.scheduler_stats()
-        assert stats["scheduler"] == "heap"
-        assert stats["pending"] == 1
+        assert stats["batched_events"] == stats["batched_slots"] == 0
+        assert set(stats["arena"]) == {
+            "pooled", "acquired", "recycled", "dropped", "cap"
+        }
 
 
 class TestHorizonReinjection:
@@ -229,7 +216,7 @@ class TestHorizonReinjection:
     slot / current-bucket edge cases."""
 
     def test_reinjected_event_at_horizon_dispatches_next_window(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=64)
         order = []
         for when in (0.5, 1.0, 1.5, 2.0):
             sim.schedule_at(when, lambda t=when: order.append(t))
@@ -242,7 +229,7 @@ class TestHorizonReinjection:
         assert order == [0.5, 1.0, 1.5, "reinj", 2.0]
 
     def test_stats_count_reinjected_inserts(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=64)
         sim.schedule_at(0.01, lambda: None)
         sim.run(until=0.02, inclusive=False)
         before = sim.scheduler_stats()["wheel_inserts"]
@@ -255,7 +242,7 @@ class TestHorizonReinjection:
         assert sim.scheduler_stats()["pending"] == 0
 
     def test_cancel_of_reinjected_event_at_horizon(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=64)
         order = []
         sim.schedule_at(0.5, lambda: order.append("pre"))
         sim.run(until=0.5, inclusive=False)
@@ -270,7 +257,7 @@ class TestHorizonReinjection:
     def test_cancel_then_reinject_same_timestamp(self):
         # Cancelling a horizon event and re-injecting a replacement at
         # the identical timestamp must not resurrect the tombstone.
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001, wheel_slots=64)
         order = []
         sim.schedule_at(0.25, lambda: order.append("tick"))
         sim.run(until=0.25, inclusive=False)

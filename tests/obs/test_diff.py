@@ -66,6 +66,8 @@ class TestDirection:
         # Schema v8 channel-surf headline numbers.
         assert direction("summary.zap_events_per_sec") == +1
         assert direction("summary.state_churn_speedup") == +1
+        # Schema v10: the batch-dispatched share of the mega storm.
+        assert direction("summary.mega_batched_share") == +1
 
     def test_neutral(self):
         assert direction("sim_events") == 0

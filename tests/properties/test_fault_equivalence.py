@@ -6,8 +6,7 @@ Two contracts from the fault-injection subsystem:
   (with a :class:`FaultMonitor` attached) schedules zero simulator
   events and draws zero RNG values, so an instrumented run's settled
   ChannelState tables *and* ``events_processed`` are identical to a
-  plain run's, across heap/wheel schedulers × native core on/off.
-  ``events_processed`` equality is the strong claim: one stray
+  plain run's. ``events_processed`` equality is the strong claim: one stray
   scheduled callback anywhere would break it.
 
 * **Crash/restart re-convergence** — a run that crashes a transit
@@ -25,7 +24,6 @@ import pytest
 
 from repro import ExpressNetwork, TopologyBuilder
 from repro.faults import FaultInjector, FaultMonitor, FaultPlan
-from repro.netsim.arena import ARENA
 
 N_EMPTY_CASES = 2
 
@@ -45,14 +43,10 @@ def snapshot(net: ExpressNetwork) -> dict:
     return table
 
 
-def build_net(scheduler: str, native: bool) -> ExpressNetwork:
+def build_net() -> ExpressNetwork:
     topo = TopologyBuilder.isp(
-        n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7,
-        scheduler=scheduler,
+        n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7
     )
-    # The per-run native-core switch (what Simulator(native=...) sets).
-    topo.sim._native = native
-    topo.sim._arena = ARENA if native else None
     net = ExpressNetwork(topo)
     net.run(until=0.01)
     return net
@@ -81,10 +75,8 @@ def schedule_workload(net: ExpressNetwork, seed: int) -> float:
     return when
 
 
-def run_workload(
-    scheduler: str, native: bool, seed: int, instrumented: bool
-) -> tuple[dict, int]:
-    net = build_net(scheduler, native)
+def run_workload(seed: int, instrumented: bool) -> tuple[dict, int]:
+    net = build_net()
     end = schedule_workload(net, seed)
     if instrumented:
         monitor = FaultMonitor(net)
@@ -100,13 +92,11 @@ def run_workload(
     return snapshot(net), net.sim.events_processed
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("native", [True, False])
 @pytest.mark.parametrize("case", range(N_EMPTY_CASES))
-def test_empty_plan_run_is_bit_identical(scheduler, native, case):
+def test_empty_plan_run_is_bit_identical(case):
     seed = 0xFA17 + case
-    plain = run_workload(scheduler, native, seed, instrumented=False)
-    instrumented = run_workload(scheduler, native, seed, instrumented=True)
+    plain = run_workload(seed, instrumented=False)
+    instrumented = run_workload(seed, instrumented=True)
     assert instrumented == plain
 
 
@@ -119,7 +109,7 @@ def settled_state(seed: int, plan_for=None, settle: float = 45.0):
     """Run the workload, let it settle, optionally arm a plan built by
     ``plan_for(net, now)`` after the churn window, settle again, and
     return the final table."""
-    net = build_net("heap", native=False)
+    net = build_net()
     end = schedule_workload(net, seed)
     net.run(until=end)
     net.settle(3.0)

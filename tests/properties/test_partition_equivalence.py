@@ -2,18 +2,21 @@
 
 The contract the parallel subsystem is pinned to: for any declarative
 scenario, an N-partition conservative-lookahead run must settle into
-*exactly* the state the unsharded heap run produces — ChannelState
+*exactly* the state an unsharded run on the heapq reference scheduler
+(:class:`tests.heap_scheduler.HeapSimulator`) produces — ChannelState
 tables (upstream, advertised counts, per-neighbor downstream records),
 subscription status and per-host delivery counts, aggregated-block
 membership and deliveries, total dispatched event counts, and (when
 observability is on) every counter and histogram family outside the
-sync-only / wall-clock exclusion set. The heap oracle is the seed's
-original scheduler, so any divergence is a parallel-subsystem bug.
+sync-only / wall-clock exclusion set. The oracle fires one event at a
+time in ``(time, seq)`` order, so any divergence is an engine or
+parallel-subsystem bug.
 
 Five axes are swept:
 
 * partition count N ∈ {1, 2, 4} (1 degenerates to a proxy-free run);
-* worker scheduler heap vs. timer wheel (the oracle stays heap);
+* worker engine: the heapq reference scheduler vs. the timer wheel
+  (the oracle stays heap);
 * sync mode demand (multi-window horizon ladders) vs. eager (lockstep
   null messages every round) — settlement must be bit-identical;
 * transport inline vs. pipe vs. shm ring — frame counts included;
@@ -28,36 +31,57 @@ import pytest
 from repro.netsim.parallel import ParallelRunner, assert_equivalent, run_single
 from repro.netsim.parallel.scenario import ScenarioSpec
 
+from tests.heap_scheduler import use_heap_simulator
 from tests.netsim.parallel.conftest import make_small_spec
 
 N_RANDOM_CASES = 4
 
 
+def heap_oracle(spec: ScenarioSpec, **kwargs) -> dict:
+    """``run_single`` on the heapq reference scheduler."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_heap_simulator(monkeypatch)
+        return run_single(spec, **kwargs)
+
+
+def run_sharded(engine: str, *args, **kwargs):
+    """A sharded run whose workers use ``engine`` (``"heap"`` for the
+    reference scheduler, ``"wheel"`` for the production engine)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if engine == "heap":
+            use_heap_simulator(monkeypatch)
+        return ParallelRunner(*args, **kwargs).run()
+
+
 @pytest.fixture(scope="module")
 def oracle_with_obs():
-    return run_single(make_small_spec(), scheduler="heap", with_obs=True)
+    return heap_oracle(make_small_spec(), with_obs=True)
+
+
+def test_single_process_engine_matches_heap_oracle(oracle_with_obs):
+    assert_equivalent(run_single(make_small_spec(), with_obs=True), oracle_with_obs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_n_partitions_match_heap_oracle(n, oracle_with_obs):
-    result = ParallelRunner(
-        make_small_spec(), n, scheduler="heap", mode="inline", with_obs=True
-    ).run()
+    result = run_sharded(
+        "heap", make_small_spec(), n, mode="inline", with_obs=True
+    )
     assert result.plan.n == n
     assert_equivalent(result.merged, oracle_with_obs)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_wheel_workers_match_heap_oracle(n, oracle_with_obs):
-    result = ParallelRunner(
-        make_small_spec(), n, scheduler="wheel", mode="inline", with_obs=True
-    ).run()
+    result = run_sharded(
+        "wheel", make_small_spec(), n, mode="inline", with_obs=True
+    )
     assert_equivalent(result.merged, oracle_with_obs)
 
 
 def test_mp_transport_matches_oracle(oracle_with_obs):
     result = ParallelRunner(
-        make_small_spec(), 2, scheduler="wheel", mode="mp", with_obs=True
+        make_small_spec(), 2, mode="mp", with_obs=True
     ).run()
     assert_equivalent(result.merged, oracle_with_obs)
 
@@ -70,21 +94,21 @@ def test_sharded_run_is_deterministic():
     assert [s.as_dict() for s in a.sync] == [s.as_dict() for s in b.sync]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+@pytest.mark.parametrize("engine", ["heap", "wheel"])
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_demand_sync_matches_eager_baseline(n, scheduler, oracle_with_obs):
+def test_demand_sync_matches_eager_baseline(n, engine, oracle_with_obs):
     """The demand-driven multi-window protocol must settle into the
     exact state the eager lockstep baseline (and the oracle) produces —
     same tables, same deliveries, same event counts — for every
-    partition count and worker scheduler."""
-    demand = ParallelRunner(
-        make_small_spec(), n, scheduler=scheduler, mode="inline",
-        with_obs=True, sync_mode="demand",
-    ).run()
-    eager = ParallelRunner(
-        make_small_spec(), n, scheduler=scheduler, mode="inline",
-        with_obs=True, sync_mode="eager",
-    ).run()
+    partition count and worker engine."""
+    demand = run_sharded(
+        engine, make_small_spec(), n, mode="inline", with_obs=True,
+        sync_mode="demand",
+    )
+    eager = run_sharded(
+        engine, make_small_spec(), n, mode="inline", with_obs=True,
+        sync_mode="eager",
+    )
     assert_equivalent(demand.merged, oracle_with_obs)
     assert_equivalent(eager.merged, oracle_with_obs)
     # Settled state must be bit-identical across sync modes. (The
@@ -165,7 +189,7 @@ def random_spec(seed: int) -> ScenarioSpec:
 def test_random_workloads_match_oracle(case):
     seed = 0x9A27 + case
     spec = random_spec(seed)
-    oracle = run_single(spec, scheduler="heap")
+    oracle = heap_oracle(spec)
     for n in (2, 4):
-        result = ParallelRunner(spec, n, scheduler="heap", mode="inline").run()
+        result = ParallelRunner(spec, n, mode="inline").run()
         assert_equivalent(result.merged, oracle)

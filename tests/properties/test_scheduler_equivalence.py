@@ -1,10 +1,11 @@
-"""Property test: timer-wheel scheduler ≡ heap scheduler.
+"""Property test: the engine ≡ a heapq reference scheduler.
 
-The wheel must be *observationally identical* to the heap: for any
-workload, the same seed dispatches the same events in the same
-``(time, seq)`` order, leaves the same protocol state behind, and
-counts the same ``events_processed``. The heap is the oracle — it is
-the seed's original scheduler — so any divergence is a wheel bug.
+The engine (timer wheel, pure bulk buckets, arena, batch slot
+dispatch) must be *observationally identical* to
+:class:`tests.heap_scheduler.HeapSimulator`, a plain binary heap that
+fires one event at a time: for any workload, the same seed dispatches
+the same events in the same ``(time, seq)`` order, leaves the same
+protocol state behind, and counts the same ``events_processed``.
 
 Three layers of checking:
 
@@ -26,6 +27,10 @@ import pytest
 
 from repro import ExpressNetwork, TopologyBuilder
 from repro.netsim.engine import Simulator
+from tests.heap_scheduler import HeapSimulator, use_heap_simulator
+
+#: Engine under test vs oracle, by the names the helpers below take.
+SIMULATORS = {"wheel": Simulator, "heap": HeapSimulator}
 
 N_ENGINE_CASES = 8
 N_NETWORK_CASES = 6
@@ -36,7 +41,7 @@ N_NETWORK_CASES = 6
 # ---------------------------------------------------------------------------
 
 
-def run_engine_trace(scheduler: str, seed: int) -> tuple[list, int]:
+def run_engine_trace(kind: str, seed: int) -> tuple[list, int]:
     """Drive one randomized schedule; return (dispatch trace, count).
 
     The workload deliberately mixes near events (open-slot and bucket
@@ -45,7 +50,7 @@ def run_engine_trace(scheduler: str, seed: int) -> tuple[list, int]:
     slot), and cancellations (lazy skip + compaction).
     """
     rng = random.Random(seed)
-    sim = Simulator(seed=0, scheduler=scheduler, wheel_slots=256)
+    sim = SIMULATORS[kind](seed=0, wheel_slots=256)
     trace = []
     cancellable = []
 
@@ -97,9 +102,9 @@ def test_bounded_run_matches_heap():
     """run(until=...) segment by segment — the wheel's cursor bound
     (limit_slot) must not reorder or drop events at window edges."""
 
-    def drive(scheduler):
+    def drive(kind):
         rng = random.Random(0xB0B)
-        sim = Simulator(seed=0, scheduler=scheduler, wheel_slots=128)
+        sim = SIMULATORS[kind](seed=0, wheel_slots=128)
         out = []
         for i in range(200):
             sim.schedule_at(
@@ -117,9 +122,9 @@ def test_bounded_run_matches_heap():
 
 
 def test_max_events_matches_heap():
-    def drive(scheduler):
+    def drive(kind):
         rng = random.Random(7)
-        sim = Simulator(seed=0, scheduler=scheduler)
+        sim = SIMULATORS[kind](seed=0)
         out = []
         for i in range(50):
             sim.schedule_at(rng.uniform(0.0, 1.0), lambda t=i: out.append(t))
@@ -150,11 +155,10 @@ def snapshot(net: ExpressNetwork) -> dict:
     return table
 
 
-def drive_network(scheduler: str, seed: int) -> tuple[dict, int]:
+def drive_network(seed: int) -> tuple[dict, int]:
     rng = random.Random(seed)
     topo = TopologyBuilder.isp(
-        n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7,
-        scheduler=scheduler,
+        n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7
     )
     net = ExpressNetwork(topo)
     net.run(until=0.01)
@@ -193,10 +197,11 @@ def drive_network(scheduler: str, seed: int) -> tuple[dict, int]:
 
 
 @pytest.mark.parametrize("case", range(N_NETWORK_CASES))
-def test_network_state_tables_match_heap(case):
+def test_network_state_tables_match_heap(case, monkeypatch):
     seed = 0x4EE1 + case
-    heap_table, heap_events = drive_network("heap", seed)
-    wheel_table, wheel_events = drive_network("wheel", seed)
+    wheel_table, wheel_events = drive_network(seed)
+    use_heap_simulator(monkeypatch)
+    heap_table, heap_events = drive_network(seed)
     assert wheel_table == heap_table
     assert wheel_events == heap_events
 
@@ -221,16 +226,12 @@ def bulk_items(seed: int, n: int = 150) -> list:
     return [(t, i) for i, t in enumerate(times)]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("native", [True, False])
 @pytest.mark.parametrize("case", range(4))
-def test_schedule_bulk_matches_sequential_schedule_at(scheduler, native, case):
+def test_schedule_bulk_matches_sequential_schedule_at(case):
     items = bulk_items(0xB17C + case)
 
     def drive(bulk: bool) -> tuple[list, int]:
-        sim = Simulator(
-            seed=0, scheduler=scheduler, wheel_slots=256, native=native
-        )
+        sim = Simulator(seed=0, wheel_slots=256)
         out = []
         if bulk:
             sim.schedule_bulk(
@@ -248,9 +249,11 @@ def test_schedule_bulk_matches_sequential_schedule_at(scheduler, native, case):
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 def test_schedule_bulk_rejects_past_times_atomically(scheduler):
+    """Engine and oracle alike: a past-time item rejects the whole
+    batch, so comparisons against the oracle never see half a batch."""
     from repro.errors import SimulationError
 
-    sim = Simulator(seed=0, scheduler=scheduler)
+    sim = SIMULATORS[scheduler](seed=0)
     sim.schedule_at(1.0, lambda: None)
     sim.run(until=0.5)
     with pytest.raises(SimulationError):
@@ -266,9 +269,9 @@ def test_bulk_interleaved_with_singles_and_cancels_matches_heap(case):
     trace-identical to the heap oracle."""
     seed = 0x51A7 + case
 
-    def drive(scheduler: str) -> tuple[list, int]:
+    def drive(kind: str) -> tuple[list, int]:
         rng = random.Random(seed)
-        sim = Simulator(seed=0, scheduler=scheduler, wheel_slots=128)
+        sim = SIMULATORS[kind](seed=0, wheel_slots=128)
         out = []
 
         def rec(tag):
@@ -309,21 +312,15 @@ def test_bulk_interleaved_with_singles_and_cancels_matches_heap(case):
 # ---------------------------------------------------------------------------
 
 
-def drive_block_storm(scheduler: str, native: bool, seed: int = 3):
+def drive_block_storm(seed: int = 3):
     """A miniature mega storm: block join/leave ops bulk-scheduled with
-    coarse wheel slots so native wheel runs exercise batch slot
-    dispatch. Returns comparable end state + the stats dict."""
-    from repro.netsim.arena import ARENA
-
+    coarse wheel slots so engine runs exercise batch slot dispatch.
+    Returns comparable end state + the stats dict."""
     rng = random.Random(seed)
     topo = TopologyBuilder.isp(
         n_transit=3, stubs_per_transit=2, hosts_per_stub=1, seed=7,
-        scheduler=scheduler, wheel_granularity=0.05,
+        wheel_granularity=0.05,
     )
-    # Force the native-core switch per run (what Simulator(native=...)
-    # sets at construction) so the comparison covers on and off.
-    topo.sim._native = native
-    topo.sim._arena = ARENA if native else None
     net = ExpressNetwork(topo)
     source = net.source(sorted(net.host_names)[0])
     channel = source.allocate_channel()
@@ -355,14 +352,13 @@ def drive_block_storm(scheduler: str, native: bool, seed: int = 3):
     return state, net.sim.scheduler_stats()
 
 
-def test_batch_slot_dispatch_matches_per_event():
-    heap_state, _ = drive_block_storm("heap", native=True)
-    wheel_state, wheel_stats = drive_block_storm("wheel", native=True)
-    off_state, off_stats = drive_block_storm("wheel", native=False)
+def test_batch_slot_dispatch_matches_per_event(monkeypatch):
+    wheel_state, wheel_stats = drive_block_storm()
+    use_heap_simulator(monkeypatch)
+    heap_state, heap_stats = drive_block_storm()
     assert wheel_state == heap_state
-    assert off_state == heap_state
-    # The native wheel run actually used batch dispatch; the escape
-    # hatch never did.
+    # The engine run actually used batch dispatch; the oracle, firing
+    # one event at a time, never does.
     assert wheel_stats["batched_events"] > 0
     assert wheel_stats["batched_slots"] > 0
-    assert off_stats["batched_events"] == 0
+    assert heap_stats["batched_events"] == 0

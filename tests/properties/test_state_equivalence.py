@@ -1,32 +1,27 @@
-"""Property tests: the columnar ECMP record bank is indistinguishable
-from the legacy per-record dataclasses, and the refresh ring expires
-soft state on exactly the ticks the full-table scan would.
+"""Property tests: the columnar ECMP record bank behaves like a plain
+record of fields, and the refresh ring expires soft state on exactly
+the tick a full-table scan would.
 
 Two layers:
 
 * **Record level** — any sequence of field writes applied to a
-  :class:`DownstreamRecord` (StateBank row) and a
-  :class:`DictDownstreamRecord` leaves the two observably identical:
-  every field, ``repr``, and ``__eq__`` in both directions. Rows
-  recycle through the bank's free list without bleeding values.
-* **Network level** — the identical subscribe/unsubscribe/silence
-  workload driven on two :class:`ExpressNetwork` instances (columnar
-  vs dict records; refresh ring vs legacy scan) settles to
-  bit-identical ``ChannelState`` tables — including ``updated_at``
-  stamps and ``udp_expirations`` counts, pinning the ring's
-  expiry-timing equivalence with the scan.
-
-The bank's columns are plain lists regardless of numpy, but CI still
-drives this suite under ``REPRO_NO_NUMPY=1`` in the escape-hatches
-job: the workload-level comparison exercises the accounting layer's
-scalar fallback underneath the same equivalence assertions.
+  :class:`DownstreamRecord` (a StateBank row view) and to a plain dict
+  of the same fields leaves the two observably identical. Rows recycle
+  through the bank's free list without bleeding values.
+* **Network level** — under a randomized subscribe/unsubscribe/
+  silence workload, every refresh tick expires exactly the UDP records
+  whose lease has run out: a record expires on the first tick at which
+  ``now - UDP_ROBUSTNESS × UDP_QUERY_INTERVAL`` has passed its
+  ``updated_at``, and never earlier. That is the full-table scan's
+  rule, checked tick by tick against the live tables.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ecmp.protocol import EcmpAgent
-from repro.core.ecmp.state import DictDownstreamRecord, DownstreamRecord
+from repro.core.ecmp.state import LOCAL, DownstreamRecord
 from repro.core.network import ExpressNetwork
 from repro.netsim.topology import TopologyBuilder
 
@@ -46,14 +41,26 @@ FIELD_WRITES = st.lists(
 
 RECORD_FIELDS = ("count", "validated", "presented_key", "updated_at", "udp")
 
+#: The field model: a fresh record's values.
+DEFAULTS = {
+    "count": 0,
+    "validated": True,
+    "presented_key": None,
+    "updated_at": 0.0,
+    "udp": False,
+}
 
-def assert_records_identical(columnar, legacy):
+
+def assert_matches_model(record: DownstreamRecord, model: dict) -> None:
     for field in RECORD_FIELDS:
-        assert getattr(columnar, field) == getattr(legacy, field), field
-    assert columnar == legacy
-    assert legacy == columnar
-    # Identical field rendering; only the class name may differ.
-    assert repr(columnar).split("(", 1)[1] == repr(legacy).split("(", 1)[1]
+        value = getattr(record, field)
+        assert value == model[field], field
+        assert type(value) is type(model[field]), field
+    assert repr(record) == (
+        f"DownstreamRecord(count={model['count']}, validated={model['validated']}, "
+        f"presented_key={model['presented_key']!r}, "
+        f"updated_at={model['updated_at']}, udp={model['udp']})"
+    )
 
 
 class TestRecordEquivalence:
@@ -67,16 +74,23 @@ class TestRecordEquivalence:
     def test_any_write_sequence_is_backend_invisible(
         self, count, validated, udp, updated_at, writes
     ):
-        kwargs = dict(
+        model = dict(DEFAULTS, count=count, validated=validated, udp=udp,
+                     updated_at=updated_at)
+        record = DownstreamRecord(
             count=count, validated=validated, udp=udp, updated_at=updated_at
         )
-        columnar = DownstreamRecord(**kwargs)
-        legacy = DictDownstreamRecord(**kwargs)
-        assert_records_identical(columnar, legacy)
+        twin = DownstreamRecord(
+            count=count, validated=validated, udp=udp, updated_at=updated_at
+        )
+        assert_matches_model(record, model)
         for field, value in writes:
-            setattr(columnar, field, value)
-            setattr(legacy, field, value)
-            assert_records_identical(columnar, legacy)
+            setattr(record, field, value)
+            model[field] = value
+            assert_matches_model(record, model)
+        # Equality is by field, so a twin given the same writes agrees.
+        for field, value in writes:
+            setattr(twin, field, value)
+        assert record == twin
 
     def test_field_types_survive_the_bank(self):
         record = DownstreamRecord(count=3, updated_at=1.5)
@@ -94,43 +108,64 @@ class TestRecordEquivalence:
         del first
         second = DownstreamRecord()
         assert second._row == row
-        assert_records_identical(second, DictDownstreamRecord())
+        assert_matches_model(second, DEFAULTS)
 
     def test_unequal_to_differing_record(self):
-        assert DownstreamRecord(count=1) != DictDownstreamRecord(count=2)
+        assert DownstreamRecord(count=1) != DownstreamRecord(count=2)
         assert DownstreamRecord(count=1) != object()
 
 
-def state_snapshot(net):
-    """Every agent's full channel table, bit-exact: (channel, neighbor)
-    -> every record field, plus each agent's expiry/examination-free
-    counters that must not depend on the backend."""
-    snap = {}
-    for name, agent in sorted(net.ecmp_agents.items()):
-        tables = {}
-        for channel, state in agent.channels.items():
-            tables[(channel.source, channel.suffix)] = {
-                neighbor: tuple(getattr(record, f) for f in RECORD_FIELDS)
-                for neighbor, record in sorted(state.downstream.items())
-            }
-        snap[name] = {
-            "tables": tables,
-            "udp_expirations": agent.stats.get("udp_expirations"),
-            "estimate_events": agent.stats.get("count_update_events"),
+# ---------------------------------------------------------------------------
+# refresh-ring expiry timing
+# ---------------------------------------------------------------------------
+
+
+def watch_expiries(agent: EcmpAgent) -> list:
+    """Wrap ``agent``'s refresh tick so every tick checks its expiries.
+
+    Before the tick, every live UDP record is noted with its
+    ``updated_at``; after it, the records that vanished (or dropped to
+    a zero count) must be exactly those whose lease had run out, and
+    ``udp_expirations`` must have grown by that many. Returns the list
+    the wrapper appends ``(tick time, expired keys)`` to.
+    """
+    ticks = []
+    original = agent._do_udp_refresh_tick
+    lease = agent.UDP_ROBUSTNESS * agent.UDP_QUERY_INTERVAL
+
+    def live_udp_records():
+        return {
+            (channel, name): record.updated_at
+            for channel, state in agent.channels.items()
+            for name, record in state.downstream.items()
+            if name != LOCAL and record.udp and record.count > 0
         }
-    return snap
+
+    def checked_tick():
+        now = agent.sim.now
+        before = live_udp_records()
+        expirations = agent.stats.get("udp_expirations")
+        original()
+        after = live_udp_records()
+        expired = {key for key in before if key not in after}
+        due = {key for key, updated_at in before.items() if updated_at < now - lease}
+        assert expired == due, (now, expired, due)
+        assert agent.stats.get("udp_expirations") - expirations == len(due)
+        ticks.append((now, expired))
+
+    agent._do_udp_refresh_tick = checked_tick
+    return ticks
 
 
-def build_star(columnar, refresh_ring):
+def build_star(phase: float):
+    """A UDP-edge star whose agents start ``phase`` refresh intervals
+    after time zero, so refresh ticks fall off the ring's bucket grid
+    (bucket bounds are multiples of the interval)."""
     topo = TopologyBuilder.star(4)
-    net = ExpressNetwork(
-        topo,
-        hosts=[f"leaf{i}" for i in range(4)],
-        edge_udp=True,
-        columnar=columnar,
-        refresh_ring=refresh_ring,
-    )
-    net.run(until=0.01)
+    net = ExpressNetwork(topo, hosts=[f"leaf{i}" for i in range(4)], edge_udp=True)
+    start = phase * EcmpAgent.UDP_QUERY_INTERVAL
+    net.sim.run(until=start)
+    net.run(until=start + 0.01)
     return net
 
 
@@ -147,64 +182,57 @@ OPS = st.lists(
 )
 
 
-class TestControlPlaneEquivalence:
+def run_ops(ops, phase: float = 0.0) -> tuple[ExpressNetwork, list]:
+    net = build_star(phase)
+    ticks = watch_expiries(net.ecmp_agents["hub"])
+    src = net.source("leaf0")
+    chans = [src.allocate_channel(suffix=1 + k) for k in range(2)]
+    base = net.sim.now
+    for step, (leaf, chan, action) in enumerate(ops):
+        at = base + 0.1 + 0.25 * step
+        host = f"leaf{leaf}"
+        if action == "join":
+            net.sim.schedule_at(at, lambda n=host, c=chans[chan]: net.host(n).subscribe(c))
+        elif action == "leave":
+            net.sim.schedule_at(
+                at, lambda n=host, c=chans[chan]: net.host(n).unsubscribe(c)
+            )
+        else:
+            # Vanish without a zero Count: the hub's soft state for this
+            # host must age out on the first tick past its lease.
+            def silence(n=host):
+                agent = net.ecmp_agents[n]
+                agent.subscriptions.clear()
+                agent.channels.clear()
+
+            net.sim.schedule_at(at, silence)
+    # Run well past the soft-state horizon so every expiry lands.
+    horizon = (EcmpAgent.UDP_ROBUSTNESS + 2) * EcmpAgent.UDP_QUERY_INTERVAL
+    net.run(until=base + 0.1 + 0.25 * len(ops) + horizon)
+    return net, ticks
+
+
+class TestRefreshExpiry:
     @settings(max_examples=15, deadline=None)
-    @given(ops=OPS)
-    def test_fast_and_legacy_control_planes_converge_identically(self, ops):
-        interval = EcmpAgent.UDP_QUERY_INTERVAL
-        nets = [
-            build_star(columnar=True, refresh_ring=True),
-            build_star(columnar=False, refresh_ring=False),
-        ]
-        channels = []
-        for net in nets:
-            src = net.source("leaf0")
-            channels.append([src.allocate_channel(suffix=1 + k) for k in range(2)])
-        for net, chans in zip(nets, channels):
-            for step, (leaf, chan, action) in enumerate(ops):
-                at = 0.1 + 0.25 * step
-                host = f"leaf{leaf}"
-                if action == "join":
-                    net.sim.schedule_at(
-                        at,
-                        lambda n=host, c=chans[chan], net=net: (
-                            net.host(n).subscribe(c)
-                        ),
-                    )
-                elif action == "leave":
-                    net.sim.schedule_at(
-                        at,
-                        lambda n=host, c=chans[chan], net=net: (
-                            net.host(n).unsubscribe(c)
-                        ),
-                    )
-                else:
-                    # Vanish without a zero Count: the hub's soft state
-                    # for this host must age out on the same tick under
-                    # ring and scan.
-                    def silence(n=host, net=net):
-                        agent = net.ecmp_agents[n]
-                        agent.subscriptions.clear()
-                        agent.channels.clear()
-
-                    net.sim.schedule_at(at, silence)
-            # Run well past the soft-state horizon so every scheduled
-            # expiry lands in both networks.
-            horizon = (EcmpAgent.UDP_ROBUSTNESS + 2) * interval
-            net.run(until=0.1 + 0.25 * len(ops) + horizon)
-        fast, legacy = nets
-        assert fast.sim.now == legacy.sim.now
-        assert state_snapshot(fast) == state_snapshot(legacy)
-
-    def test_mixed_backends_interoperate(self):
-        # A columnar node and a dict node on the same wire: the record
-        # backend is node-local, so a network where only some agents
-        # are columnar must still converge (channels carry per-state
-        # overrides, not globals).
-        net = build_star(columnar=None, refresh_ring=None)
+    @given(ops=OPS, phase=st.floats(min_value=0.0, max_value=0.99))
+    def test_udp_records_expire_on_first_tick_past_their_lease(self, ops, phase):
+        net, ticks = run_ops(ops, phase)
+        assert ticks, "the refresh tick never ran"
+        # Silent hosts leave nothing behind once the horizon has passed.
         hub = net.ecmp_agents["hub"]
-        src = net.source("leaf0")
-        ch = src.allocate_channel()
-        net.host("leaf1").subscribe(ch)
-        net.settle()
-        assert hub.subscriber_count_estimate(ch) >= 1
+        lease = hub.UDP_ROBUSTNESS * hub.UDP_QUERY_INTERVAL
+        last_tick = ticks[-1][0]
+        for state in hub.channels.values():
+            for name, record in state.downstream.items():
+                if name != LOCAL and record.udp and record.count > 0:
+                    assert record.updated_at >= last_tick - lease
+
+    @pytest.mark.parametrize("phase", [0.0, 0.5])
+    @pytest.mark.parametrize("leaf", [1, 3])
+    def test_silenced_host_expires_exactly_once(self, leaf, phase):
+        net, ticks = run_ops([(leaf, 0, "join"), (leaf, 0, "silence")], phase)
+        expired = [(now, keys) for now, keys in ticks if keys]
+        assert len(expired) == 1
+        now, keys = expired[0]
+        assert {name for _, name in keys} == {f"leaf{leaf}"}
+        assert net.ecmp_agents["hub"].stats.get("udp_expirations") == 1

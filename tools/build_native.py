@@ -17,10 +17,7 @@ Usage:
     python tools/build_native.py --check    # report status, change nothing
     python tools/build_native.py --clean    # remove compiled artifacts
 
-Escape hatches compose: even with compiled modules on disk,
-``REPRO_NATIVE=0`` still disables arena pooling and batch dispatch at
-runtime (the flag gates behaviour, not imports), and ``--clean``
-returns the tree to pure-Python imports entirely.
+``--clean`` returns the tree to pure-Python imports entirely.
 """
 
 from __future__ import annotations
@@ -102,13 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mypyc available: {available}")
         print(f"hot modules: {', '.join(HOT_MODULES)}")
         print(f"compiled artifacts: {len(artifacts)}")
-        return 0
-
-    if os.environ.get("REPRO_NATIVE", "") == "0":
-        # Building while the runtime escape hatch is pulled would be
-        # surprising: the compiled modules would import but the native
-        # behaviours stay off. Do nothing loudly.
-        print("REPRO_NATIVE=0 set; skipping native build (escape hatch).")
         return 0
 
     if not available:
