@@ -44,13 +44,10 @@ from repro.bench.scenarios import SCENARIOS, run_scenarios
 #: warning when the host cannot run the workers in parallel —
 #: ``cores_limited``).
 #: v7: the sync-tax cut — the parallel scenario's timed pass runs the
-#: demand-driven multi-window protocol over the shared-memory ring
-#: transport (``transport`` / ``sync_mode`` fields record the
-#: configuration) and gains ``sync_messages_per_event`` /
-#: ``frames_per_round`` / ``demand_null_ratio``, an eager lockstep
-#: ``sync_baseline`` block, and the host-independent
-#: ``null_ratio_reduction`` / ``sync_message_reduction`` ratios gated
-#: by ``--floor-null-ratio-reduction`` / ``--floor-sync-msg-reduction``;
+#: demand-driven multi-window protocol and gains
+#: ``sync_messages_per_event`` / ``frames_per_round``, fields naming
+#: the transport and protocol, a lockstep-baseline block, and two
+#: reduction ratios against that baseline (all dropped again in v11);
 #: sync totals grow ``windows`` / ``frames_sent`` / ``frames_received``.
 #: v8: the control-plane fast path — the ``channel_surf`` scenario
 #: (Zipf channel-surfing over thousands of standing channels, driven
@@ -80,7 +77,15 @@ from repro.bench.scenarios import SCENARIOS, run_scenarios
 #: top-level ``scheduler_stats``; the summary gains
 #: ``mega_batched_share`` and ``refresh_records_examined``, gated by
 #: ``--floor-batched-share`` and the ceiling ``--floor-refresh-examined``.
-SCHEMA_VERSION = 10
+#: v11: one shard transport and one sync protocol — the parallel
+#: scenario's lockstep baseline pass is gone, and with it the fields
+#: naming the transport and protocol, the ``sync_baseline`` block,
+#: ``null_ratio_reduction`` / ``sync_message_reduction`` and
+#: ``demand_null_ratio``. ``null_message_ratio`` is now the timed
+#: pass's exact ratio; it and ``sync_messages_per_event`` are gated as
+#: ceilings by ``--floor-null-message-ratio`` /
+#: ``--floor-sync-msgs-per-event``.
+SCHEMA_VERSION = 11
 
 
 def build_report(
@@ -141,18 +146,10 @@ def build_report(
             "partition_workers": parallel.get("params", {}).get("workers", 0),
             "parallel_warnings": parallel.get("warnings", []),
             "sync_efficiency": parallel.get("sync_efficiency", 0.0),
-            "null_message_ratio": parallel.get("null_message_ratio", 0.0),
+            "null_message_ratio": parallel.get("null_message_ratio"),
             "settle_seconds": parallel.get("settle_seconds", 0.0),
-            "transport": parallel.get("transport", ""),
-            "sync_mode": parallel.get("sync_mode", ""),
-            "sync_messages_per_event": parallel.get(
-                "sync_messages_per_event", 0.0
-            ),
+            "sync_messages_per_event": parallel.get("sync_messages_per_event"),
             "frames_per_round": parallel.get("frames_per_round", 0.0),
-            "null_ratio_reduction": parallel.get("null_ratio_reduction", 0.0),
-            "sync_message_reduction": parallel.get(
-                "sync_message_reduction", 0.0
-            ),
         },
     }
 
@@ -207,22 +204,13 @@ FLOOR_GATES = {
         "sync efficiency floor",
         "{:.2f}",
     ),
-    "null_ratio_reduction": (
-        "null_ratio_reduction",
-        "null-message ratio reduction floor",
-        "{:.2f}",
-    ),
-    "sync_msg_reduction": (
-        "sync_message_reduction",
-        "sync messages/event reduction floor",
-        "{:.2f}",
-    ),
 }
 
 #: Ceiling gates (schema v9): same table shape as :data:`FLOOR_GATES`,
 #: but the run fails when the measured value *exceeds* the threshold —
-#: robustness SLOs from the crash-storm scenario and the channel-surf
-#: refresh work, where lower is better. A missing/None summary value
+#: robustness SLOs from the crash-storm scenario, the channel-surf
+#: refresh work, and the parallel scenario's sync tax, where lower is
+#: better. A missing/None summary value
 #: (the scenario did not run) fails loudly: a vacuous 0.0 must never
 #: pass a requested ceiling.
 CEILING_GATES = {
@@ -240,6 +228,16 @@ CEILING_GATES = {
         "refresh_records_examined",
         "channel-surf refresh records examined ceiling",
         "{:,.0f}",
+    ),
+    "null_message_ratio": (
+        "null_message_ratio",
+        "sharded null-message ratio ceiling",
+        "{:.4f}",
+    ),
+    "sync_msgs_per_event": (
+        "sync_messages_per_event",
+        "sharded sync messages/event ceiling",
+        "{:.4e}",
     ),
 }
 
@@ -406,20 +404,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         "productive (non-sync_wait/idle) fraction of worker wall time falls below this",
     )
     parser.add_argument(
-        "--floor-null-ratio-reduction",
+        "--floor-null-message-ratio",
         type=float,
         default=None,
-        help="exit non-zero if demand-driven sync does not cut the "
-        "null-message ratio by at least this factor vs the eager "
-        "lockstep baseline (host-independent message counts)",
+        help="exit non-zero if the sharded run's null reports exceed "
+        "this share of all reports (ceiling: lower is better; exact "
+        "frame counts, host-independent)",
     )
     parser.add_argument(
-        "--floor-sync-msg-reduction",
+        "--floor-sync-msgs-per-event",
         type=float,
         default=None,
-        help="exit non-zero if demand-driven sync does not cut sync "
-        "messages per merged event by at least this factor vs the "
-        "eager lockstep baseline (host-independent message counts)",
+        help="exit non-zero if the sharded run moves more than this "
+        "many protocol frames per merged event (ceiling: lower is "
+        "better; exact frame counts, host-independent)",
     )
     parser.add_argument(
         "--floor-convergence-seconds",
@@ -473,11 +471,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"  sync eff {metrics['sync_efficiency']:.0%}"
                 f"  settle {metrics['settle_seconds']:.2f}s"
             )
-        if "sync_message_reduction" in metrics:
+        if "sync_messages_per_event" in metrics:
             line += (
-                f"  [{metrics['transport']}/{metrics['sync_mode']}]"
-                f"  nulls {metrics['null_ratio_reduction']:.1f}x fewer"
-                f"  sync msgs {metrics['sync_message_reduction']:.1f}x fewer"
+                f"  nulls {metrics['null_message_ratio']:.3f}"
+                f"  sync msgs/event {metrics['sync_messages_per_event']:.3e}"
             )
         if "blast_radius" in metrics:
             line += (
@@ -509,8 +506,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             "refresh_examined": args.floor_refresh_examined,
             "partition_speedup": args.floor_partition_speedup,
             "sync_efficiency": args.floor_sync_efficiency,
-            "null_ratio_reduction": args.floor_null_ratio_reduction,
-            "sync_msg_reduction": args.floor_sync_msg_reduction,
+            "null_message_ratio": args.floor_null_message_ratio,
+            "sync_msgs_per_event": args.floor_sync_msgs_per_event,
             "convergence_seconds": args.floor_convergence_seconds,
             "blast_radius": args.floor_blast_radius,
         },

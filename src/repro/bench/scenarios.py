@@ -729,7 +729,7 @@ def mega_join_storm_parallel(
     registry snapshots merged into one fleet scrape, cross-shard trace
     stitching, and the convergence monitor. That pass reports
     ``phase_breakdown`` (fractions of worker wall time; must sum to
-    ~1), ``null_message_ratio``, ``sync_efficiency`` (the productive —
+    ~1), ``sync_efficiency`` (the productive —
     non-``sync_wait``/``idle`` — fraction CI gates with
     ``--floor-sync-efficiency``), ``settle_seconds``, and the merged
     scrape/trace evidence (``shards_in_scrape``,
@@ -737,15 +737,13 @@ def mega_join_storm_parallel(
     measurement exactly as before — telemetry is opt-in and charges
     nothing to the gated numbers.
 
-    Schema v7 adds the sync-tax economics: the timed pass runs the
-    demand-driven multi-window protocol over the default transport
-    (shm ring unless ``REPRO_TRANSPORT``/CI says otherwise — the
-    ``transport`` field records which), and an additional *eager*
-    lockstep baseline pass (inline — message counts are
-    transport-independent, and its wall clock is never used) yields
-    ``null_ratio_reduction`` and ``sync_message_reduction``, the
-    host-independent ratios CI gates with
-    ``--floor-null-ratio-reduction`` / ``--floor-sync-msg-reduction``.
+    The timed pass also reports the sync-tax economics:
+    ``null_message_ratio`` (null reports / reports) and
+    ``sync_messages_per_event`` (protocol frames / merged events). Both
+    are exact, protocol-deterministic frame counts — identical inline
+    and over pipes, independent of the host — and CI gates them as
+    ceilings with ``--floor-null-message-ratio`` /
+    ``--floor-sync-msgs-per-event``.
     """
     from repro.netsim.parallel import (
         ParallelRunner,
@@ -762,9 +760,8 @@ def mega_join_storm_parallel(
     # live in two of the four transit domains (the EXPRESS model —
     # unsubscribed regions receive no traffic at all), so after the
     # churn burst converges the other two shards are permanently
-    # quiet. Demand-driven sync stops contacting them; the eager
-    # baseline heartbeats every shard every round, which is exactly
-    # the tax ``sync_message_reduction`` measures.
+    # quiet. Demand-driven sync stops contacting them, which is what
+    # keeps ``sync_messages_per_event`` low.
     edge_routers = tuple(sorted(f"e{t}_{s}" for t in range(2) for s in range(3)))
     spec = ScenarioSpec(
         topology="isp",
@@ -833,43 +830,17 @@ def mega_join_storm_parallel(
         sync["null_messages"] / sync["sync_rounds"] if sync["sync_rounds"] else 0.0
     )
 
-    # Eager lockstep baseline: the pre-demand protocol (every worker,
-    # every round, one window, a null message whenever a report carries
-    # neither exports nor dispatched work) on the identical spec.
-    # Message economics are
-    # protocol-deterministic and transport-independent (pinned by the
-    # property suite), so the baseline runs inline — no spawn cost, and
-    # its wall clock is never used for anything.
-    eager = ParallelRunner(
-        spec, n_workers, mode="inline", sync_mode="eager"
-    ).run()
-    try:
-        assert_equivalent(eager.merged, single)
-    except AssertionError as exc:
-        raise RuntimeError(
-            f"eager baseline diverged from single-process: {exc}"
-        ) from exc
-    eager_sync = eager.sync_totals()
-    eager_messages = eager.message_totals()
-    eager_null_ratio = (
-        eager_sync["null_messages"] / eager_sync["sync_rounds"]
-        if eager_sync["sync_rounds"]
-        else 0.0
-    )
-
     # Post-mortem hook: when REPRO_ROUNDS_DUMP names a file, write the
-    # per-round grant ladders and frame counts of both passes as JSON
+    # timed pass's per-round grant ladders and frame counts as JSON
     # lines. CI sets it and uploads the file when the job fails, so a
-    # reduction-floor regression arrives with the protocol transcript
-    # that produced it.
+    # sync-tax ceiling breach arrives with the protocol transcript that
+    # produced it.
     dump_path = os.environ.get("REPRO_ROUNDS_DUMP")
     if dump_path:
         os.makedirs(os.path.dirname(dump_path) or ".", exist_ok=True)
         with open(dump_path, "w", encoding="utf-8") as fh:
-            for pass_name, res in (("demand", result), ("eager", eager)):
-                for trace in res.round_traces:
-                    row = {"pass": pass_name, **trace.as_dict()}
-                    fh.write(json.dumps(row) + "\n")
+            for trace in result.round_traces:
+                fh.write(json.dumps(trace.as_dict()) + "\n")
 
     # Telemetered pass: same spec, same workers, full distributed
     # telemetry. Kept separate from the timed pass above so the
@@ -944,39 +915,15 @@ def mega_join_storm_parallel(
         "setup_seconds": result.setup_seconds,
         "cores_available": result.cores_available,
         "warnings": list(result.warnings),
-        "transport": result.transport,
-        "sync_mode": result.sync_mode,
         "sync_rounds": result.rounds,
         "sync": sync,
-        # Host-independent sync-message economics, and how they compare
-        # to the eager lockstep baseline (the "sync tax" cut the
-        # reduction gates pin; see docs/performance.md).
+        # Host-independent sync-message economics of the timed pass
+        # (the "sync tax" the ceiling gates pin; see
+        # docs/performance.md).
         "sync_messages_per_event": messages["sync_messages_per_event"],
         "frames_per_round": messages["frames_per_round"],
-        "demand_null_ratio": null_ratio,
-        "sync_baseline": {
-            "sync_mode": "eager",
-            "sync_rounds": eager.rounds,
-            "sync": eager_sync,
-            "null_message_ratio": eager_null_ratio,
-            "sync_messages_per_event": eager_messages["sync_messages_per_event"],
-            "frames_per_round": eager_messages["frames_per_round"],
-        },
-        # A demand run with *zero* nulls would divide by zero; clamp
-        # its ratio to the resolution of one null per report so the
-        # reduction stays finite (and the gate can't fail on perfect).
-        "null_ratio_reduction": (
-            eager_null_ratio
-            / max(null_ratio, 1.0 / max(sync["sync_rounds"], 1))
-        ),
-        "sync_message_reduction": (
-            eager_messages["sync_messages_per_event"]
-            / messages["sync_messages_per_event"]
-            if messages["sync_messages_per_event"]
-            else 0.0
-        ),
+        "null_message_ratio": null_ratio,
         "phase_breakdown": phases["phase_breakdown"],
-        "null_message_ratio": phases["null_message_ratio"],
         "sync_efficiency": phases["sync_efficiency"],
         "settle_seconds": telemetered.settle_seconds,
         "telemetry": telemetry_block,

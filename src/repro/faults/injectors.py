@@ -242,12 +242,12 @@ class FaultInjector:
 def crash_parallel_worker(transport, rank: int, join_timeout: float = 5.0):
     """Kill one worker process of a parallel run mid-flight.
 
-    Works on any transport that exposes ``procs`` (both the pipe and
-    shared-memory transports do). The coordinator's next receive must
-    surface a :class:`~repro.errors.SimulationError` — the shm ring's
-    generation counters spot the torn frame / dead peer, the pipe
-    transport spots EOF — rather than hanging; the worker-crash tests
-    pin that contract. Returns the terminated process object.
+    Works on any transport that exposes ``procs`` (the pipe transport
+    does). The coordinator's next receive or send must surface a
+    :class:`~repro.netsim.parallel.transport.TransportError` rather
+    than hang or leak a raw ``OSError``: the dead child's end of the
+    pipe reads as EOF and refuses writes; the worker-crash tests pin
+    that contract. Returns the terminated process object.
     """
     procs = getattr(transport, "procs", None)
     if not procs:

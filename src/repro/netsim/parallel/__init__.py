@@ -16,16 +16,14 @@ traffic) and re-inject them in the owning partition with exact
 Synchronization is conservative: each cut link's propagation delay is
 its lookahead, and no worker dispatches past its granted horizon —
 derived from the other partitions' next effective event times plus the
-transitive cut-link closure. The default ``sync_mode="demand"``
-protocol grants each worker a multi-window horizon *ladder* and skips
-quiet shards entirely (null messages are demand-driven, not
-per-round); ``sync_mode="eager"`` keeps the one-window-per-round
-lockstep baseline. Frames move over a pluggable transport
-(:mod:`~repro.netsim.parallel.transport`): a zero-pickle
-shared-memory ring by default, ``multiprocessing`` pipes via
-``transport="pipe"`` or ``REPRO_TRANSPORT=pipe``. The sharded run is
-deterministic for a given seed — across sync modes and transports —
-and, once settled, produces ``ChannelState`` tables, delivery counts,
+transitive cut-link closure. Grants are demand-driven: each worker
+gets a multi-window horizon *ladder*, and quiet shards are skipped
+entirely (null messages are demand-driven, not per-round). Frames
+move over one ``multiprocessing`` pipe per worker
+(:mod:`~repro.netsim.parallel.transport`), raw bytes with no pickling
+on the hot loop. The sharded run is deterministic for a given seed —
+inline and multi-process runs exchange identical frames — and, once
+settled, produces ``ChannelState`` tables, delivery counts,
 and obs counters identical to the single-process oracle (pinned by
 ``tests/properties/test_partition_equivalence.py``).
 
@@ -46,18 +44,12 @@ from repro.netsim.parallel.sync import (
     RoundTrace,
     SyncStats,
     build_ladder,
-    compute_horizons,
     grant_ceilings,
     merge_phase_stats,
     message_stats,
     transitive_lookahead,
 )
-from repro.netsim.parallel.transport import (
-    PipeTransport,
-    ShmTransport,
-    TransportError,
-    transport_choice,
-)
+from repro.netsim.parallel.transport import PipeTransport, TransportError
 from repro.netsim.parallel.worker import TelemetryConfig
 
 __all__ = [
@@ -69,18 +61,15 @@ __all__ = [
     "PipeTransport",
     "RoundTrace",
     "ScenarioSpec",
-    "ShmTransport",
     "SyncStats",
     "TelemetryConfig",
     "TransportError",
     "assert_equivalent",
     "build_ladder",
-    "compute_horizons",
     "grant_ceilings",
     "merge_phase_stats",
     "message_stats",
     "plan_partitions",
     "run_single",
-    "transport_choice",
     "transitive_lookahead",
 ]

@@ -217,9 +217,6 @@ FRAME_ERROR = 0x07
 
 #: Grant flags.
 GRANT_FINAL = 0x01
-#: The grant is an eager one-window round (the PR-7 baseline protocol):
-#: the worker runs exactly one window to the single rung and reports.
-GRANT_EAGER = 0x02
 
 #: Report flags.
 REPORT_FINALIZED = 0x01
@@ -276,10 +273,8 @@ def encode_ready(next_time: float, ops_scheduled: int) -> bytes:
     return bytes([FRAME_READY]) + _READY_BODY.pack(next_time, ops_scheduled)
 
 
-def encode_grant(
-    ladder: list[float], imports: list[tuple], final: bool, eager: bool
-) -> bytes:
-    flags = (GRANT_FINAL if final else 0) | (GRANT_EAGER if eager else 0)
+def encode_grant(ladder: list[float], imports: list[tuple], final: bool) -> bytes:
+    flags = GRANT_FINAL if final else 0
     head = _GRANT_HEAD.pack(flags, len(ladder), len(imports))
     rungs = struct.pack(f"!{len(ladder)}d", *ladder)
     return bytes([FRAME_GRANT]) + head + rungs + _encode_exports(imports)
@@ -328,7 +323,7 @@ def decode_frame(frame: bytes):
     """Parse one frame into ``(kind, body)``.
 
     Bodies by kind: READY ``(next_time, ops_scheduled)``; GRANT
-    ``(ladder, imports, final, eager)``; REPORT ``(next_times,
+    ``(ladder, imports, final)``; REPORT ``(next_times,
     windows, dispatched, exports, finalized, stalled, telemetry)``
     with ``telemetry`` already unpickled (or None); RESULT the
     unpickled payload; ERROR the message string; RESULT_REQ/EXIT
@@ -357,9 +352,7 @@ def decode_frame(frame: bytes):
             raise CodecError(
                 f"grant framing: {len(body)} bytes, expected {at}"
             )
-        return kind, (
-            ladder, imports, bool(flags & GRANT_FINAL), bool(flags & GRANT_EAGER)
-        )
+        return kind, (ladder, imports, bool(flags & GRANT_FINAL))
     if kind == FRAME_REPORT:
         if len(body) < _REPORT_HEAD.size:
             raise CodecError(f"report frame truncated: {len(body)} bytes")

@@ -1,30 +1,22 @@
 """The coordinator: spawn workers, issue horizon grants, merge results.
 
 :class:`ParallelRunner` executes one :class:`ScenarioSpec` across N
-partitions. Two sync modes share the same frame protocol:
+partitions with demand-driven grants: each scheduling round the
+coordinator computes per-worker grant *ceilings* from the transitive
+lookahead closure (self-echo term excluded — the worker enforces that
+bound locally), grants only the workers that have dispatchable work
+below their ceiling (quiet shards are not granted and send no
+heartbeats), and each granted worker drains as many export-capped
+windows as the ceiling allows before replying with one coalesced
+report. Null messages are demand-driven: a report with no exports
+only happens when a worker exhausts its entire ceiling.
 
-* ``sync_mode="demand"`` (default) — each scheduling round the
-  coordinator computes per-worker grant *ceilings* from the transitive
-  lookahead closure (self-echo term excluded — the worker enforces
-  that bound locally), grants only the workers that have dispatchable
-  work below their ceiling (quiet shards are not granted and send no
-  heartbeats), and each granted worker drains as many export-capped
-  windows as the ceiling allows before replying with one coalesced
-  report. Null messages become demand-driven: a report with no
-  exports only happens when a worker exhausts its entire ceiling.
-* ``sync_mode="eager"`` — the PR-7 lockstep baseline: every
-  non-finalized worker is granted a single-window horizon every round.
-  Kept bit-compatible as the measured baseline for the sync-tax
-  reduction metrics (`null_ratio_reduction`, `sync_message_reduction`
-  in the bench schema).
-
-Execution modes: ``mode="mp"`` runs one child process per partition
-over a :mod:`~repro.netsim.parallel.transport` — the shared-memory
-ring transport by default (zero pickle on the hot loop), pipes via
-``transport="pipe"`` or ``REPRO_TRANSPORT=pipe``. ``mode="inline"``
-drives the same :class:`PartitionWorker` objects in-process but routes
-commands through the *same encoded frames*, so frame counts, codec
-coverage, and results are identical to ``mp``.
+Execution modes: ``mode="mp"`` runs one child process per partition,
+each speaking frames over one ``multiprocessing`` pipe
+(:class:`~repro.netsim.parallel.transport.PipeTransport`).
+``mode="inline"`` drives the same :class:`PartitionWorker` objects
+in-process but routes commands through the *same encoded frames*, so
+frame counts, codec coverage, and results are identical to ``mp``.
 
 :func:`run_single` runs the unsharded oracle and
 :func:`assert_equivalent` pins the contract: merged per-partition
@@ -51,7 +43,6 @@ from repro.netsim.parallel.sync import (
     RoundTrace,
     SyncStats,
     build_ladder,
-    compute_horizons,
     effective_next_times,
     grant_ceilings,
     merge_phase_stats,
@@ -59,11 +50,7 @@ from repro.netsim.parallel.sync import (
     message_stats,
     transitive_lookahead,
 )
-from repro.netsim.parallel.transport import (
-    PipeTransport,
-    ShmTransport,
-    transport_choice,
-)
+from repro.netsim.parallel.transport import PipeTransport
 from repro.netsim.parallel.worker import (
     SHARDED_ONLY_PREFIXES,
     PartitionWorker,
@@ -101,10 +88,6 @@ class ParallelResult:
     #: scale the workload up before trusting the speedup).
     warnings: list = field(default_factory=list)
     merged: dict = field(default_factory=dict)
-    #: Which transport moved the frames (``shm``/``pipe``/``inline``)
-    #: and which sync protocol ran (``demand``/``eager``).
-    transport: str = ""
-    sync_mode: str = "demand"
     #: Per-scheduling-round :class:`RoundTrace` records (granted
     #: ladders, frame counts) for post-mortems and ``repro.obs diff``.
     round_traces: list = field(default_factory=list)
@@ -289,18 +272,16 @@ def assert_equivalent(merged: dict, oracle: dict) -> None:
             raise AssertionError(f"counter {key} diverges: {mine} != {ref}")
 
 
-def _spawn_worker(descriptor, rank, spec, plan, with_obs, telemetry):
+def _spawn_worker(conn, rank, spec, plan, with_obs, telemetry):
     """Child-process target (module-level so the spawn fallback can
     pickle it; under the usual fork context it is simply inherited)."""
-    worker_main(descriptor, spec, plan, rank, with_obs, telemetry)
+    worker_main(conn, spec, plan, rank, with_obs, telemetry)
 
 
 class InlineTransport:
     """Drives PartitionWorker objects in-process — through the *same*
-    encoded frames as the process transports, so inline runs exercise
-    the full codec path and report identical frame counts."""
-
-    name = "inline"
+    encoded frames as the pipe transport, so inline runs exercise the
+    full codec path and report identical frame counts."""
 
     def __init__(self, spec, plan, with_obs, telemetry=None):
         self.telemetry = telemetry
@@ -311,23 +292,16 @@ class InlineTransport:
             for rank in range(plan.n)
         ]
         self._pending: list[deque] = [deque() for _ in range(plan.n)]
-        self.frames_sent = 0
-        self.frames_received = 0
         for rank, worker in enumerate(self.workers):
             self._pending[rank].append(worker.ready_frame())
 
     def send_frame(self, rank: int, frame: bytes) -> None:
-        self.frames_sent += 1
         reply, _done = serve_frame(self.workers[rank], frame)
         if reply is not None:
             self._pending[rank].append(reply)
 
     def recv_frame(self, rank: int) -> bytes:
-        self.frames_received += 1
         return self._pending[rank].popleft()
-
-    def wait_any(self, ranks: list[int]) -> list[int]:
-        return [rank for rank in ranks if self._pending[rank]]
 
     def dump_flight(self, reason: str) -> None:
         """Inline workers live in this process; on coordinator failure
@@ -345,7 +319,7 @@ class InlineTransport:
         pass
 
 
-def _make_mp_transport(spec, plan, with_obs, telemetry, choice):
+def _make_mp_transport(spec, plan, with_obs, telemetry):
     spawn = functools.partial(
         _spawn_worker,
         spec=spec,
@@ -353,10 +327,7 @@ def _make_mp_transport(spec, plan, with_obs, telemetry, choice):
         with_obs=with_obs,
         telemetry=telemetry,
     )
-    if choice == "pipe":
-        transport = PipeTransport(plan.n, spawn)
-    else:
-        transport = ShmTransport(plan.n, spawn)
+    transport = PipeTransport(plan.n, spawn)
     transport.dump_flight = lambda reason: None  # children dump their own
     return transport
 
@@ -372,17 +343,11 @@ class ParallelRunner:
         with_obs: bool = False,
         telemetry: Optional[TelemetryConfig] = None,
         plan: Optional[PartitionPlan] = None,
-        sync_mode: str = "demand",
-        transport: Optional[str] = None,
     ) -> None:
         if mode not in ("mp", "inline"):
             raise SimulationError(f"unknown runner mode {mode!r}")
-        if sync_mode not in ("demand", "eager"):
-            raise SimulationError(f"unknown sync mode {sync_mode!r}")
         self.spec = spec
         self.mode = mode
-        self.sync_mode = sync_mode
-        self.transport = "inline" if mode == "inline" else transport_choice(transport)
         self.with_obs = with_obs or telemetry is not None
         self.telemetry = telemetry
         if plan is None:
@@ -415,7 +380,6 @@ class ParallelRunner:
         plan = self.plan
         duration = self.spec.duration
         n = plan.n
-        eager = self.sync_mode == "eager"
         setup_started = perf_counter()
         if self.mode == "inline":
             transport = InlineTransport(
@@ -423,7 +387,7 @@ class ParallelRunner:
             )
         else:
             transport = _make_mp_transport(
-                self.spec, plan, self.with_obs, self.telemetry, self.transport
+                self.spec, plan, self.with_obs, self.telemetry
             )
         closure = transitive_lookahead(plan.lookahead, plan.n)
         diag = [closure.get((rank, rank), inf) for rank in range(n)]
@@ -455,56 +419,45 @@ class ParallelRunner:
                 next_eff = effective_next_times(
                     [times[0] for times in reported], pending_min
                 )
-                if eager:
-                    horizons = compute_horizons(next_eff, closure)
-                    grant_ranks = [r for r in range(n) if not finalized[r]]
-                else:
-                    horizons = grant_ceilings(next_eff, closure)
-                    # Demand-driven: grant only workers that can act —
-                    # dispatchable work below their ceiling, or nothing
-                    # external pending before the scenario end (their
-                    # final inclusive window). Quiet shards are skipped
-                    # outright: no grant, no heartbeat, no frames.
-                    grant_ranks = [
-                        r for r in range(n)
-                        if not finalized[r]
-                        and (horizons[r] > duration or next_eff[r] < horizons[r])
-                    ]
-                    if not grant_ranks:  # pragma: no cover - protocol guard
-                        # Impossible for positive lookaheads: the
-                        # globally earliest worker always clears its own
-                        # ceiling (which excludes its self-echo term).
-                        raise SimulationError(
-                            "conservative sync deadlock: no grantable worker"
-                        )
+                horizons = grant_ceilings(next_eff, closure)
+                # Grant only workers that can act — dispatchable work
+                # below their ceiling, or nothing external pending
+                # before the scenario end (their final inclusive
+                # window). Quiet shards are skipped outright: no grant,
+                # no heartbeat, no frames.
+                grant_ranks = [
+                    r for r in range(n)
+                    if not finalized[r]
+                    and (horizons[r] > duration or next_eff[r] < horizons[r])
+                ]
+                if not grant_ranks:  # pragma: no cover - protocol guard
+                    # Impossible for positive lookaheads: the globally
+                    # earliest worker always clears its own ceiling
+                    # (which excludes its self-echo term).
+                    raise SimulationError(
+                        "conservative sync deadlock: no grantable worker"
+                    )
                 trace = RoundTrace(
                     round_index=rounds,
                     next_eff=list(next_eff),
                     horizons=list(horizons),
-                    mode=self.sync_mode,
                 )
                 for rank in grant_ranks:
                     final = horizons[rank] > duration
-                    if eager:
-                        ladder = [horizons[rank]]
-                    else:
-                        ladder = build_ladder(
-                            reported[rank], diag[rank], horizons[rank]
-                        )
+                    ladder = build_ladder(
+                        reported[rank], diag[rank], horizons[rank]
+                    )
                     trace.ladders[rank] = ladder
                     transport.send_frame(
-                        rank,
-                        codec.encode_grant(ladder, pending[rank], final, eager),
+                        rank, codec.encode_grant(ladder, pending[rank], final)
                     )
                     pending[rank] = []
-                    if eager:
-                        finalized[rank] = final
                 for rank in grant_ranks:
                     next_times, _windows, _dispatched, exports, done, _stall, snap = (
                         self._recv_report(transport, rank)
                     )
                     reported[rank] = next_times
-                    if not eager and done:
+                    if done:
                         finalized[rank] = True
                     if aggregator is not None and snap is not None:
                         aggregator.ingest(rank, snap)
@@ -529,13 +482,11 @@ class ParallelRunner:
                     )
             if flush_ranks:
                 trace = RoundTrace(
-                    round_index=rounds, mode=self.sync_mode,
-                    frames=2 * len(flush_ranks),
+                    round_index=rounds, frames=2 * len(flush_ranks)
                 )
                 for rank in flush_ranks:
                     transport.send_frame(
-                        rank,
-                        codec.encode_grant([inf], pending[rank], True, eager),
+                        rank, codec.encode_grant([inf], pending[rank], True)
                     )
                     pending[rank] = []
                 for rank in flush_ranks:
@@ -584,8 +535,6 @@ class ParallelRunner:
             setup_seconds=setup_seconds,
             cores_available=cores,
             warnings=run_warnings,
-            transport=self.transport,
-            sync_mode=self.sync_mode,
             round_traces=traces,
         )
         result.merged = merge_summaries(summaries)

@@ -1,38 +1,29 @@
 """Conservative-lookahead synchronization (null messages / LBTS).
 
 The coordinator runs Chandy–Misra–Bryant-style rounds over the
-partition graph. Every round, each worker reports its *next effective
-event time* — the earliest timestamp it could dispatch, accounting for
-both its local queue and any imports the coordinator is still holding
-for it. The coordinator then hands each worker a horizon
-
-    H_w = min over predecessors q of (next_eff_q + L[q -> w])
-
-where ``L[q -> w]`` is the smallest propagation delay of any cut link
-from partition q toward w: nothing q dispatches at or after
-``next_eff_q`` can arrive in w before ``next_eff_q + L``, so w may
-dispatch every event strictly below ``H_w`` without risk of a
-causality violation. Workers run exclusive-horizon windows
+partition graph. Each worker reports its *next effective event time*
+— the earliest timestamp it could dispatch, accounting for both its
+local queue and any imports the coordinator is still holding for it.
+``L[q -> w]`` is the smallest propagation delay of any cut link from
+partition q toward w, and ``Lc`` its transitive closure
+(:func:`transitive_lookahead`): nothing q dispatches at or after
+``next_eff_q`` can arrive in w before ``next_eff_q + Lc[q -> w]``.
+Workers run exclusive-horizon windows
 (``Simulator.run(until=H, inclusive=False)``), export cut-crossing
-packets, and the round repeats. Because every cut delay is positive,
-the global minimum next-event time strictly increases each round and
-the protocol cannot deadlock.
+packets, and report back. Because every cut delay is positive, the
+global minimum next-event time strictly increases each round and the
+protocol cannot deadlock. A report that carries neither exports nor
+dispatched work is a CMB null message: pure clock announcement.
 
-These per-report announcements *are* the null messages of the CMB
-protocol — a worker with nothing to send still advances its neighbors'
-horizons by reporting its clock plus lookahead.
-
-Two sync modes share this math. ``eager`` is the lockstep baseline
-described above: every worker, every round, one window per grant.
-``demand`` cuts the message tax: each worker gets a grant *ceiling*
+Grants are demand-driven. Each worker gets a grant *ceiling*
 
     G_w = min over q != w of (next_eff_q + Lc[q -> w])
 
-over the transitive closure — deliberately excluding the self-echo
-diagonal term, because the worker enforces that bound itself: it
-drains multiple windows ``[s, min(G_w, s + Lc[w, w]))`` locally (s =
-its next pending event time) and reports back only when the ceiling is
-exhausted or it exports a cut-crossing packet. Any export at time
+— deliberately excluding the self-echo diagonal term, because the
+worker enforces that bound itself: it drains multiple windows
+``[s, min(G_w, s + Lc[w, w]))`` locally (s = its next pending event
+time) and reports back only when the ceiling is exhausted or it
+exports a cut-crossing packet. Any export at time
 ``t >= s`` can echo back no earlier than ``t + Lc[w, w] >= s +
 Lc[w, w]``, which is at or past the window end — so no window ever
 overruns the knowledge the worker had when granted, and stopping at
@@ -49,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Optional
 
 
 #: Order in which phase fractions are reported everywhere (docs, bench
@@ -67,8 +57,8 @@ class SyncStats:
 
     The ``wall_*`` fields are phase accounting, populated only when the
     worker runs with profiling enabled. They are deliberately *not*
-    part of :meth:`as_dict`: that dict is compared across transports
-    and runs by the determinism tests, and wall clocks measure the
+    part of :meth:`as_dict`: that dict is compared across execution
+    modes and runs by the determinism tests, and wall clocks measure the
     machine, not the protocol.
     """
 
@@ -76,13 +66,12 @@ class SyncStats:
     null_messages: int = 0
     lbts_stalls: int = 0
     sync_rounds: int = 0
-    #: Exclusive-horizon simulator windows run. Equal to
-    #: ``sync_rounds`` in eager mode; larger under demand-driven
-    #: grants, where one grant drains several windows.
+    #: Exclusive-horizon simulator windows run; at least
+    #: ``sync_rounds``, since one grant drains one or more windows.
     windows: int = 0
     #: Protocol frames this worker sent/received (grants, reports,
     #: ready/result/exit — everything on its endpoint). Deterministic
-    #: for a given spec and sync mode, identical across transports.
+    #: for a given spec, identical across execution modes.
     frames_sent: int = 0
     frames_received: int = 0
     proxy_packets_out: int = 0
@@ -187,8 +176,7 @@ def message_stats(stats: list[SyncStats], events: int) -> dict[str, float]:
     multi-window/demand-driven work is gated on, meaningful even on
     ``cores_limited`` hosts where wall-clock speedup is not.
     ``frames_per_round`` — frames per sync round (grant + report + any
-    control traffic amortized); eager mode sits at ~2, coalescing
-    keeps demand mode there too while rounds themselves collapse.
+    control traffic amortized); coalescing keeps it near 2.
     """
     frames = sum(s.frames_sent + s.frames_received for s in stats)
     rounds = sum(s.sync_rounds for s in stats)
@@ -293,41 +281,17 @@ def transitive_lookahead(
     }
 
 
-def compute_horizons(
-    next_eff: list[float],
-    lookahead: dict[tuple[int, int], float],
-    until: Optional[float] = None,
-) -> list[float]:
-    """Per-worker dispatch horizons for one round.
-
-    ``next_eff[q]`` is worker q's effective next event time;
-    ``lookahead[(q, w)]`` the min delay from q toward w — pass the
-    :func:`transitive_lookahead` closure, not the raw per-cut-link
-    matrix, so multi-hop influence and self-echo cycles bound the
-    horizon too. A worker no partition can reach gets ``inf`` —
-    nothing external can ever affect it, so it may run to the end of
-    simulated time. ``until`` (the scenario end) caps nothing here;
-    callers compare horizons against it to decide when a worker can
-    take its final inclusive window. Horizons are monotonically
-    nondecreasing across rounds because every ``next_eff`` is
-    nondecreasing and lookaheads are fixed.
-    """
-    n = len(next_eff)
-    horizons = [inf] * n
-    for (src, dst), delay in lookahead.items():
-        bound = next_eff[src] + delay
-        if bound < horizons[dst]:
-            horizons[dst] = bound
-    return horizons
-
-
 def grant_ceilings(
     next_eff: list[float], lookahead: dict[tuple[int, int], float]
 ) -> list[float]:
     """Per-worker grant ceilings for demand-driven sync.
 
-    Like :func:`compute_horizons` but *excluding* the diagonal
-    ``(w, w)`` closure term: the self-echo bound depends on the
+    ``next_eff[q]`` is worker q's effective next event time;
+    ``lookahead[(q, w)]`` the min delay from q toward w — pass the
+    :func:`transitive_lookahead` closure, not the raw per-cut-link
+    matrix, so multi-hop influence bounds the ceiling too. A worker no
+    other partition can reach gets ``inf``. The diagonal ``(w, w)``
+    closure term is *excluded*: the self-echo bound depends on the
     worker's own future dispatch times, which only the worker knows
     mid-grant — so it enforces that bound itself by capping each
     internal window at ``s + Lc[w, w]`` and stopping at the first
@@ -378,12 +342,10 @@ class RoundTrace:
     next_eff: list[float] = field(default_factory=list)
     horizons: list[float] = field(default_factory=list)
     exports: int = 0
-    #: Rank -> granted horizon ladder this round (demand mode; eager
-    #: grants are single-rung ladders).
+    #: Rank -> granted horizon ladder this round.
     ladders: dict[int, list[float]] = field(default_factory=dict)
     #: Protocol frames exchanged this round (grants + reports).
     frames: int = 0
-    mode: str = "eager"
 
     def as_dict(self) -> dict:
         """JSON-safe record (inf encoded as None for jsonl dumps)."""
@@ -403,5 +365,4 @@ class RoundTrace:
                 for rank, ladder in self.ladders.items()
             },
             "frames": self.frames,
-            "mode": self.mode,
         }

@@ -5,13 +5,12 @@ topology, addresses, interface indices, channel suffixes everywhere),
 starts agents only for its owned nodes, installs capture hooks on cut
 links, and then serves horizon *grants* from the coordinator: each
 grant carries a ladder of horizons plus pending imports, the worker
-drains one window (eager mode) or as many export-capped windows as
-the grant ceiling allows (demand mode), and replies with one
-coalesced report frame — exports, window/dispatch counters, its
-next-k event times, and optionally a telemetry snapshot, all in a
-single message. It is process-agnostic: the mp runner hosts one per
-child process via :func:`worker_main` speaking frames over a
-:mod:`~repro.netsim.parallel.transport` endpoint; the inline runner
+drains as many export-capped windows as the grant ceiling allows, and
+replies with one coalesced report frame — exports, window/dispatch
+counters, its next-k event times, and optionally a telemetry snapshot,
+all in a single message. It is process-agnostic: the mp runner hosts one per
+child process via :func:`worker_main` speaking frames over its end of
+a :mod:`~repro.netsim.parallel.transport` pipe; the inline runner
 routes the *same encoded frames* through :func:`serve_frame` in a
 single process, so frame counts and codec coverage are identical.
 
@@ -37,7 +36,7 @@ from repro.netsim.parallel.codec import decode_packet, encode_packet
 from repro.netsim.parallel.partition import PartitionPlan
 from repro.netsim.parallel.scenario import ScenarioSpec, build, schedule_ops
 from repro.netsim.parallel.sync import SyncStats, transitive_lookahead
-from repro.netsim.parallel.transport import connect_endpoint
+from repro.netsim.parallel.transport import PipeEndpoint
 
 #: How many upcoming event times a worker reports per grant — the
 #: coordinator's raw material for the next grant's horizon ladder.
@@ -227,19 +226,16 @@ class PartitionWorker:
         ladder: list[float],
         imports: list[tuple],
         final: bool,
-        eager: bool,
     ) -> tuple[list[float], int, int, list[tuple], bool, bool, Optional[dict]]:
         """Serve one coordinator grant: inject, drain windows, report.
 
-        ``ladder[-1]`` is the authoritative grant ceiling. Eager mode
-        runs exactly one exclusive window to it (the PR-7 lockstep
-        baseline; ``final`` runs the inclusive window to the scenario
-        end instead). Demand mode drains windows ``[s, min(ceiling,
-        s + self_delay))`` until the ceiling is exhausted — or stops at
-        the first window that exported, because past that window's end
-        an echo of its own export could land. A ``final`` demand grant
-        (ceiling past the scenario end) finishes with the inclusive
-        window once every remaining window end clears the duration;
+        ``ladder[-1]`` is the authoritative grant ceiling. The worker
+        drains windows ``[s, min(ceiling, s + self_delay))`` until the
+        ceiling is exhausted — or stops at the first window that
+        exported, because past that window's end an echo of its own
+        export could land. A ``final`` grant (ceiling past the scenario
+        end) finishes with the inclusive window once every remaining
+        window end clears the duration;
         if an export interrupts it first, the report says *not*
         finalized and the coordinator re-grants after the export has
         been heard by its destination.
@@ -255,16 +251,8 @@ class PartitionWorker:
         diag = self.self_delay
         ceiling = ladder[-1] if ladder else inf
         windows = 0
-        finalized = False
-        if eager:
-            if final:
-                sim.run(until=duration)
-                finalized = True
-            else:
-                sim.run(until=ceiling, inclusive=False)
-            windows = 1
-        elif final:
-            finalized = True
+        finalized = final
+        if final:
             while True:
                 when = sim.peek_time()
                 if when is None or when + diag > duration:
@@ -456,7 +444,7 @@ def serve_frame(worker: PartitionWorker, frame: bytes) -> tuple[Optional[bytes],
     The single dispatch point both execution modes share: mp children
     call it from :func:`worker_main`, the inline runner calls it
     directly with the same encoded bytes — which is what makes frame
-    counts and codec coverage identical across transports. A grant's
+    counts and codec coverage identical across execution modes. A grant's
     reply coalesces everything the coordinator needs (exports, window
     and dispatch counters, next-k times, optional telemetry snapshot)
     into one report frame.
@@ -464,9 +452,9 @@ def serve_frame(worker: PartitionWorker, frame: bytes) -> tuple[Optional[bytes],
     kind, body = codec.decode_frame(frame)
     if kind == codec.FRAME_GRANT:
         worker.stats.frames_received += 1
-        ladder, imports, final, eager = body
+        ladder, imports, final = body
         next_times, windows, dispatched, exports, finalized, stalled, snap = (
-            worker.run_grant(ladder, imports, final, eager)
+            worker.run_grant(ladder, imports, final)
         )
         blob = None
         if snap is not None:
@@ -495,9 +483,7 @@ def serve_frame(worker: PartitionWorker, frame: bytes) -> tuple[Optional[bytes],
     )
 
 
-def worker_main(
-    endpoint_descriptor, spec, plan, rank, with_obs, telemetry=None
-) -> None:
+def worker_main(conn, spec, plan, rank, with_obs, telemetry=None) -> None:
     """Child-process entry: build the partition, then serve frames.
 
     With telemetry on, time blocked waiting for the next frame is
@@ -507,7 +493,7 @@ def worker_main(
     armed flight recorder dumps its ring on any error or signal before
     the failure propagates.
     """
-    endpoint = connect_endpoint(endpoint_descriptor)
+    endpoint = PipeEndpoint(conn)
     worker = None
     try:
         worker = PartitionWorker(

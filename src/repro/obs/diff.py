@@ -32,12 +32,10 @@ LOWER_IS_BETTER = (
     "rss",
     "null_message",
     # Sync-tax economics (bench schema v7): frames on the wire per
-    # useful event are overhead, as is the demand run's own null
-    # ratio. (The ``*_reduction`` ratios land in the benefit table —
-    # they never match here because no cost fragment appears in them.)
+    # useful event are overhead. (``*_reduction`` ratios land in the
+    # benefit table — no cost fragment appears in them.)
     "messages_per_event",
     "frames_per_round",
-    "demand_null",
     "no_match_drops",
     "sync_wait",
     "idle",
@@ -47,11 +45,7 @@ LOWER_IS_BETTER = (
     "phase_breakdown.alloc",
     "phase_breakdown.accounting",
     # Control-plane refresh economics (bench schema v8): records the
-    # refresh tick examines are pure overhead, and the fast path's
-    # share of the legacy scan's examinations (``refresh_scan_fraction``
-    # — matched here before the benefit table's ``fraction``) is the
-    # tax the ring exists to shrink.
-    "refresh_scan",
+    # refresh tick examines are pure overhead.
     "records_examined",
     # Robustness SLOs (bench schema v9): ``convergence_seconds`` is
     # already a cost via ``_seconds``; resync traffic, fault blast

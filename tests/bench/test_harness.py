@@ -131,7 +131,7 @@ class TestCli:
 
 
 class TestParallelScenario:
-    """Schema v4 (sharded mega storm) + v7 (sync-tax economics)."""
+    """Schema v4 (sharded mega storm) + v11 (exact sync-tax ceilings)."""
 
     def test_scenario_fields(self, quick_report):
         parallel = quick_report["scenarios"]["mega_join_storm_parallel"]
@@ -148,38 +148,39 @@ class TestParallelScenario:
         assert single["sim_events"] == parallel["sim_events"]
 
     def test_sync_tax_fields(self, quick_report):
-        # Schema v7: the timed pass runs the demand protocol and an
-        # eager lockstep baseline yields the host-independent
-        # reduction ratios CI gates on.
+        # The sync tax is exact frame counting, not a wall clock: for
+        # seed 0 the timed pass sends 3 null reports out of 75 and
+        # moves 154 frames for 338,072 merged events — the values the
+        # CI ceilings (0.04 and 4.556e-4) sit on.
         parallel = quick_report["scenarios"]["mega_join_storm_parallel"]
-        assert parallel["transport"] in {"shm", "pipe"}
-        assert parallel["sync_mode"] == "demand"
-        assert parallel["sync_messages_per_event"] > 0
+        sync = parallel["sync"]
+        assert (sync["null_messages"], sync["sync_rounds"]) == (3, 75)
+        assert sync["frames_sent"] + sync["frames_received"] == 154
+        assert parallel["sim_events"] == 338_072
+        assert parallel["null_message_ratio"] == 3 / 75
+        assert parallel["sync_messages_per_event"] == 154 / 338_072
         assert parallel["frames_per_round"] >= 2.0
-        baseline = parallel["sync_baseline"]
-        assert baseline["sync_mode"] == "eager"
-        # Same protocol work, fewer frames: the reductions are exact
-        # frame-count ratios, not wall-clock measurements.
-        assert parallel["null_ratio_reduction"] > 1.0
-        assert parallel["sync_message_reduction"] > 1.0
-        assert parallel["demand_null_ratio"] <= baseline["null_message_ratio"]
-        assert baseline["sync"]["proxy_packets"] == (
-            parallel["sync"]["proxy_packets"]
-        )
+        for field in ("transport", "sync_mode", "sync_baseline",
+                      "null_ratio_reduction", "sync_message_reduction",
+                      "demand_null_ratio"):
+            assert field not in parallel
+        assert check_floors(
+            quick_report,
+            {"null_message_ratio": 0.04, "sync_msgs_per_event": 4.556e-4},
+        ) == []
 
     def test_summary_fields(self, quick_report):
         parallel = quick_report["scenarios"]["mega_join_storm_parallel"]
         summary = quick_report["summary"]
         assert summary["partition_speedup"] == parallel["partition_speedup"]
         assert summary["partition_workers"] == 4
-        assert summary["transport"] == parallel["transport"]
-        assert summary["sync_mode"] == "demand"
-        assert summary["null_ratio_reduction"] == (
-            parallel["null_ratio_reduction"]
+        assert summary["null_message_ratio"] == parallel["null_message_ratio"]
+        assert summary["sync_messages_per_event"] == (
+            parallel["sync_messages_per_event"]
         )
-        assert summary["sync_message_reduction"] == (
-            parallel["sync_message_reduction"]
-        )
+        for field in ("transport", "sync_mode", "null_ratio_reduction",
+                      "sync_message_reduction"):
+            assert field not in summary
 
 
 def fake_report(**summary) -> dict:
@@ -192,8 +193,8 @@ def fake_report(**summary) -> dict:
         "mega_events_per_sec": 2e6,
         "partition_speedup": 2.0,
         "sync_efficiency": 0.9,
-        "null_ratio_reduction": 10.0,
-        "sync_message_reduction": 3.5,
+        "null_message_ratio": 0.04,
+        "sync_messages_per_event": 4.5e-4,
         "zap_events_per_sec": 1500.0,
         "refresh_records_examined": 200,
         "convergence_seconds": 0.5,
@@ -354,3 +355,32 @@ class TestCliFloorsAndWorkers:
             ["--output", out, "--floor-blast-radius", "0.5"]
         ) == 1
         assert "blast radius ceiling" in capsys.readouterr().err
+
+    def test_sync_tax_ceiling_flags_gate_exit_code(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import repro.bench as bench
+
+        monkeypatch.setattr(
+            bench,
+            "build_report",
+            self.make_fake_build_report(
+                {}, null_message_ratio=0.04, sync_messages_per_event=4.5e-4
+            ),
+        )
+        out = str(tmp_path / "o.json")
+        assert main(
+            [
+                "--output", out,
+                "--floor-null-message-ratio", "0.04",
+                "--floor-sync-msgs-per-event", "4.556e-4",
+            ]
+        ) == 0
+        assert main(
+            ["--output", out, "--floor-null-message-ratio", "0.03"]
+        ) == 1
+        assert "null-message ratio ceiling" in capsys.readouterr().err
+        assert main(
+            ["--output", out, "--floor-sync-msgs-per-event", "4e-4"]
+        ) == 1
+        assert "sync messages/event ceiling" in capsys.readouterr().err

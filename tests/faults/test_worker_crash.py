@@ -1,11 +1,11 @@
-"""Worker-crash injection against the parallel transports.
+"""Worker-crash injection against the pipe transport.
 
 The contract ``crash_parallel_worker`` exists to exercise: when a
-worker process dies mid-flight, the coordinator's next receive or
-``wait_any`` must surface a :class:`TransportError` — the shm ring's
-generation counters spot the dead peer (no frame ever completes), the
-pipe transport spots the dead process — rather than hanging forever.
-Surviving workers keep working.
+worker process dies mid-flight, the coordinator's next receive,
+``wait_any`` or send must surface a :class:`TransportError` — the dead
+child's end of the pipe reads as EOF and refuses writes — rather than
+hanging forever or leaking a raw ``OSError``. Surviving workers keep
+working.
 """
 
 import pytest
@@ -13,16 +13,15 @@ import pytest
 from repro.errors import FaultError
 from repro.faults import crash_parallel_worker
 from repro.netsim.parallel.transport import (
+    PipeEndpoint,
     PipeTransport,
-    ShmTransport,
     TransportError,
-    connect_endpoint,
 )
 
 
-def _echo_worker(descriptor, rank):
+def _echo_worker(conn, rank):
     """Child target: echo frames until told to quit."""
-    endpoint = connect_endpoint(descriptor)
+    endpoint = PipeEndpoint(conn)
     while True:
         frame = endpoint.recv()
         if frame == b"quit":
@@ -30,10 +29,9 @@ def _echo_worker(descriptor, rank):
         endpoint.send(frame)
 
 
-@pytest.fixture(params=["shm", "pipe"])
-def transport(request):
-    cls = ShmTransport if request.param == "shm" else PipeTransport
-    transport = cls(2, _echo_worker)
+@pytest.fixture
+def transport():
+    transport = PipeTransport(2, _echo_worker)
     yield transport
     for rank, proc in enumerate(transport.procs):
         if proc.is_alive():
@@ -50,12 +48,18 @@ class TestCrashParallelWorker:
     def test_coordinator_raises_instead_of_hanging(self, transport):
         proc = crash_parallel_worker(transport, 0, join_timeout=10.0)
         assert not proc.is_alive()
-        # shm: wait_any's liveness probe raises (the ring's generation
-        # counter never advances). pipe: EOF makes the connection
-        # readable, so wait_any returns and the recv itself raises.
-        with pytest.raises(TransportError, match="died without a reply|peer closed"):
+        # EOF makes the connection readable, so wait_any returns and
+        # the recv itself raises.
+        with pytest.raises(TransportError, match="peer closed"):
             for rank in transport.wait_any([0]):
                 transport.recv_frame(rank)
+
+    def test_send_to_dead_worker_raises_transport_error(self, transport):
+        # Larger than the pipe buffer, so the write cannot vanish into
+        # the kernel: it must fail, and fail as a TransportError.
+        crash_parallel_worker(transport, 0, join_timeout=10.0)
+        with pytest.raises(TransportError, match="peer gone"):
+            transport.send_frame(0, b"x" * 100000)
 
     def test_survivor_keeps_working(self, transport):
         crash_parallel_worker(transport, 0, join_timeout=10.0)

@@ -197,18 +197,14 @@ class TestSyncFrames:
 
     def test_grant_roundtrip(self):
         record = self._export()
-        frame = encode_grant([1.5, 2.5, 4.0], [record], True, False)
-        kind, (ladder, imports, final, eager) = decode_frame(frame)
+        frame = encode_grant([1.5, 2.5, 4.0], [record], True)
+        kind, (ladder, imports, final) = decode_frame(frame)
         assert kind == FRAME_GRANT
         assert ladder == [1.5, 2.5, 4.0]
-        assert final and not eager
+        assert final
         assert imports == [record]
-
-    def test_grant_eager_flag(self):
-        _, (ladder, imports, final, eager) = decode_frame(
-            encode_grant([9.0], [], False, True)
-        )
-        assert ladder == [9.0] and imports == [] and not final and eager
+        _, (ladder, imports, final) = decode_frame(encode_grant([9.0], [], False))
+        assert ladder == [9.0] and imports == [] and not final
 
     def test_report_roundtrip(self):
         record = self._export(seq=42)

@@ -3,16 +3,35 @@
 
 from math import inf, isclose
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.netsim.parallel.sync import (
     RoundTrace,
     SyncStats,
     build_ladder,
-    compute_horizons,
     effective_next_times,
     grant_ceilings,
     merge_sync_stats,
     transitive_lookahead,
 )
+
+
+def compute_horizons(next_eff, lookahead):
+    """Reference CMB horizons: ``H_w = min over q of (next_eff[q] +
+    lookahead[(q, w)])``, the diagonal self-echo term included.
+
+    The bound a worker could be granted if the coordinator folded in
+    the worker's own echo; :func:`grant_ceilings` leaves that term to
+    the worker, so a ceiling can never be tighter than this. A worker
+    no partition can reach gets ``inf``.
+    """
+    horizons = [inf] * len(next_eff)
+    for (src, dst), delay in lookahead.items():
+        bound = next_eff[src] + delay
+        if bound < horizons[dst]:
+            horizons[dst] = bound
+    return horizons
 
 
 class TestEffectiveNextTimes:
@@ -123,8 +142,37 @@ class TestGrantCeilings:
         next_eff = [3.0, 4.0]
         ceilings = grant_ceilings(next_eff, closure)
         assert ceilings == [4.25, 3.5]
-        # compute_horizons folds the diagonal in, so it can only be
-        # tighter than the ceiling.
+        # The reference horizons fold the diagonal in, so they can only
+        # be tighter than the ceiling.
+        horizons = compute_horizons(next_eff, closure)
+        assert all(h <= c for h, c in zip(horizons, ceilings))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    def test_ceiling_is_reference_horizon_without_diagonal(self, n, data):
+        """Over random partition graphs: the ceiling is exactly the
+        reference horizon with the diagonal closure terms dropped, so
+        it is never tighter than the reference horizon."""
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        direct = data.draw(
+            st.dictionaries(
+                st.sampled_from(pairs) if pairs else st.nothing(),
+                st.floats(min_value=0.001, max_value=5.0),
+            )
+        )
+        next_eff = data.draw(
+            st.lists(
+                st.one_of(st.just(inf), st.floats(min_value=0.0, max_value=50.0)),
+                min_size=n, max_size=n,
+            )
+        )
+        closure = transitive_lookahead(direct, n)
+        ceilings = grant_ceilings(next_eff, closure)
+        off_diagonal = {k: v for k, v in closure.items() if k[0] != k[1]}
+        assert ceilings == compute_horizons(next_eff, off_diagonal)
         horizons = compute_horizons(next_eff, closure)
         assert all(h <= c for h, c in zip(horizons, ceilings))
 
@@ -155,13 +203,13 @@ class TestRoundTrace:
     def test_as_dict_scrubs_inf(self):
         trace = RoundTrace(
             round_index=3, next_eff=[1.0, inf], horizons=[inf, 2.0],
-            ladders={0: [1.5, inf]}, frames=4, mode="demand",
+            ladders={0: [1.5, inf]}, frames=4,
         )
         d = trace.as_dict()
         assert d["next_eff"] == [1.0, None]
         assert d["horizons"] == [None, 2.0]
         assert d["ladders"]["0"] == [1.5, None]
-        assert d["mode"] == "demand" and d["frames"] == 4
+        assert d["frames"] == 4
         import json
 
         json.dumps(d)  # strictly JSON-serializable

@@ -82,7 +82,7 @@ class TestTelemeteredRun:
 
 
 def test_inline_and_mp_telemetry_agree():
-    """The phase wall-clocks differ across transports, but the merged
+    """The phase wall-clocks differ between execution modes, but the merged
     scrape's counter content must not (determinism of the telemetry
     pipeline itself)."""
     spec = make_small_spec()
@@ -117,8 +117,8 @@ def test_flight_recorder_dumps_on_worker_error(tmp_path, monkeypatch):
 
     original = worker_mod.PartitionWorker.run_grant
 
-    def failing_grant(self, ladder, imports, final, eager):
-        result = original(self, ladder, imports, final, eager)
+    def failing_grant(self, ladder, imports, final):
+        result = original(self, ladder, imports, final)
         if self.rank == 1 and self.sim.events_processed > 0:
             raise RuntimeError("induced mid-run failure")
         return result

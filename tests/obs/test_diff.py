@@ -36,16 +36,12 @@ class TestDirection:
         assert direction("delivery_latency.p99_seconds") == -1
         assert direction("summary.null_message_ratio") == -1
         assert direction("peak_rss_kb") == -1
-        # Sync-tax economics (schema v7): per-event frame overhead and
-        # the demand run's own null ratio are costs...
+        # Sync-tax economics (schema v7): per-event frame overhead is a
+        # cost.
         assert direction("summary.sync_messages_per_event") == -1
         assert direction("frames_per_round") == -1
-        assert direction("demand_null_ratio") == -1
-        # Control-plane refresh economics (schema v8): the fast path's
-        # share of the legacy scan — a fraction that must *shrink* —
-        # classifies as a cost despite the benefit table's "fraction",
-        # and examined records are overhead outright.
-        assert direction("summary.refresh_scan_fraction") == -1
+        # Control-plane refresh economics (schema v8): examined records
+        # are overhead.
         assert direction("scenarios.channel_surf.refresh_records_examined") == -1
         # Robustness SLOs (schema v9): recovery time, resync traffic,
         # churn spread, and orphaned state are all costs of a fault.
@@ -60,9 +56,7 @@ class TestDirection:
         assert direction("wheel_speedup") == +1
         assert direction("sync_efficiency") == +1
         assert direction("dijkstra_savings_ratio") == +1
-        # ...while the reductions over the eager baseline are benefits.
-        assert direction("summary.null_ratio_reduction") == +1
-        assert direction("summary.sync_message_reduction") == +1
+        assert direction("summary.wire_message_reduction") == +1
         # Schema v8 channel-surf headline numbers.
         assert direction("summary.zap_events_per_sec") == +1
         assert direction("summary.state_churn_speedup") == +1

@@ -12,14 +12,12 @@ sync-only / wall-clock exclusion set. The oracle fires one event at a
 time in ``(time, seq)`` order, so any divergence is an engine or
 parallel-subsystem bug.
 
-Five axes are swept:
+Four axes are swept:
 
 * partition count N ∈ {1, 2, 4} (1 degenerates to a proxy-free run);
 * worker engine: the heapq reference scheduler vs. the timer wheel
   (the oracle stays heap);
-* sync mode demand (multi-window horizon ladders) vs. eager (lockstep
-  null messages every round) — settlement must be bit-identical;
-* transport inline vs. pipe vs. shm ring — frame counts included;
+* execution inline vs. over pipes — frame counts included;
 * randomized workloads over hosts, blocks, and channels, seeded
   ``random.Random`` per the property-suite idiom.
 """
@@ -94,48 +92,13 @@ def test_sharded_run_is_deterministic():
     assert [s.as_dict() for s in a.sync] == [s.as_dict() for s in b.sync]
 
 
-@pytest.mark.parametrize("engine", ["heap", "wheel"])
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_demand_sync_matches_eager_baseline(n, engine, oracle_with_obs):
-    """The demand-driven multi-window protocol must settle into the
-    exact state the eager lockstep baseline (and the oracle) produces —
-    same tables, same deliveries, same event counts — for every
-    partition count and worker engine."""
-    demand = run_sharded(
-        engine, make_small_spec(), n, mode="inline", with_obs=True,
-        sync_mode="demand",
-    )
-    eager = run_sharded(
-        engine, make_small_spec(), n, mode="inline", with_obs=True,
-        sync_mode="eager",
-    )
-    assert_equivalent(demand.merged, oracle_with_obs)
-    assert_equivalent(eager.merged, oracle_with_obs)
-    # Settled state must be bit-identical across sync modes. (The
-    # sharded-only ``parallel_*`` counters legitimately differ — fewer
-    # rounds and null messages is the point — so compare through the
-    # equivalence checker, which splits them out and checks proxy
-    # conservation instead.)
-    for key in ("channel_tables", "subscriptions", "blocks", "events"):
-        assert demand.merged[key] == eager.merged[key]
-    assert_equivalent(demand.merged, eager.merged)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-@pytest.mark.parametrize("sync_mode", ["demand", "eager"])
-def test_transports_are_frame_identical(sync_mode, transport):
-    """Pipe and shm runs must not only settle identically to inline —
-    the whole protocol transcript (rounds, windows, null messages,
-    frame counts per worker) must match, because inline routes through
-    the same encoded frames."""
-    inline = ParallelRunner(
-        make_small_spec(), 2, mode="inline", sync_mode=sync_mode
-    ).run()
-    mp = ParallelRunner(
-        make_small_spec(), 2, mode="mp", sync_mode=sync_mode,
-        transport=transport,
-    ).run()
-    assert mp.transport == transport
+def test_inline_and_mp_are_frame_identical():
+    """A pipe run must not only settle identically to inline — the
+    whole protocol transcript (rounds, windows, null messages, frame
+    counts per worker) must match, because inline routes through the
+    same encoded frames."""
+    inline = ParallelRunner(make_small_spec(), 2, mode="inline").run()
+    mp = ParallelRunner(make_small_spec(), 2, mode="mp").run()
     assert mp.merged == inline.merged
     assert mp.rounds == inline.rounds
     assert [s.as_dict() for s in mp.sync] == [
