@@ -1,37 +1,32 @@
-"""Batched delivery accounting (the engine's counting layer).
+"""Batched delivery accounting for subscriber blocks.
 
-The mega-storm profile showed per-event *counting* — block delivery
-counters, per-link wire counters, registry label lookups — costing as
-much as the protocol work it was measuring: every delivered packet paid
-dict hashing for ``labels(...)`` children and one attribute round-trip
-per counter per block. This module moves those counters into
-preallocated integer columns with an index-interning layer, updated by
-cheap scalar pends on the hot path and *flushed* in bulk at snapshot
-and export boundaries:
+A subscriber block (:mod:`repro.core.blocks`) stands for many receivers
+behind one edge router, so one delivered packet is one delivery per
+member. Counting that per packet and per block would cost more than
+the forwarding it measures. This module keeps the block counters in
+preallocated integer columns and updates them in bulk:
 
-* :class:`CounterBank` — a column store of plain Python integer lists
-  with row interning. Rows are subscriber blocks or links; columns are
-  counters.
+* :class:`CounterBank` — a column store of plain Python integer lists,
+  one row per subscriber block, one column per counter.
 * :class:`DeliveryView` — the forwarder's frozen per-(agent, channel)
   view of block membership. Per packet it does two integer adds
   (``pending_packets``/``pending_bytes``); the flush applies the
-  pending tallies to every member block in one pass. Views are invalidated by
-  ``EcmpAgent.members_changing`` (membership is about to move, so
-  pending tallies accumulated under the old counts are applied first)
-  and refreshed lazily against ``agent.blocks_version``.
-* :class:`LinkAccounting` — per-registry aggregator for
-  :class:`~repro.obs.hooks.LinkMetrics`: per-packet increments become
-  plain attribute adds on the metrics object, and a registered
-  collector folds them into the bank *and* the exact same registry
-  families every exporter already reads, so PR 6's fleet aggregation
-  sees byte-identical family names and label schemas.
+  pending tallies to every member block in one pass. Views are
+  invalidated by ``EcmpAgent.members_changing`` (membership is about to
+  move, so pending tallies accumulated under the old counts are applied
+  first) and refreshed lazily against ``agent.blocks_version``.
 
 Flush boundaries (the full set — counters are never stale when read):
 
 * ``members_changing`` before any join/leave/batch member mutation,
 * block counter property reads (``block.deliveries`` etc.),
-* the registry collector at every ``collect()``/snapshot/export,
+* the forwarder's registry collector at every ``collect()``/snapshot/
+  export,
 * a delivery view noticing ``blocks_version`` moved.
+
+Link and protocol counters do not live here: they are plain attributes
+and ``stats`` bags on their owners, which registry collectors read at
+collect time (see :mod:`repro.obs.hooks`).
 
 The columns are plain lists, not ndarrays: every access is a scalar
 read or add, where list indexing returns the stored ``int`` directly.
@@ -50,16 +45,15 @@ _INITIAL_ROWS = 64
 
 
 class CounterBank:
-    """A column store of preallocated integer counters with row
-    interning.
+    """A column store of preallocated integer counters.
 
-    Columns are plain Python lists of ints. Rows are appended via :meth:`add_row` (anonymous — the caller keeps
-    the index, e.g. a :class:`~repro.core.blocks.SubscriberBlock`) or
-    :meth:`intern` (keyed — repeated interning of the same key returns
-    the same row). Growth doubles the columns.
+    Columns are plain Python lists of ints. :meth:`add_row` appends a
+    zeroed row and returns its index, which the caller keeps (a
+    :class:`~repro.core.blocks.SubscriberBlock` holds its own). Growth
+    doubles the columns in place.
     """
 
-    __slots__ = ("columns", "rows", "_capacity", "_cols", "_index")
+    __slots__ = ("columns", "rows", "_capacity", "_cols")
 
     def __init__(
         self, columns: Sequence[str], capacity: int = _INITIAL_ROWS
@@ -67,50 +61,23 @@ class CounterBank:
         self.columns = tuple(columns)
         self.rows = 0
         self._capacity = capacity
-        self._index: dict = {}
         self._cols = {name: [0] * capacity for name in self.columns}
 
-    def add_row(self, key: object = None) -> int:
-        """Append one zeroed row; returns its index. ``key`` (optional)
-        registers the row for :meth:`intern` lookups."""
+    def add_row(self) -> int:
+        """Append one zeroed row; returns its index."""
         row = self.rows
         if row >= self._capacity:
-            self._grow()
+            self._capacity *= 2
+            for col in self._cols.values():
+                col.extend([0] * (self._capacity - len(col)))
         self.rows = row + 1
-        if key is not None:
-            self._index[key] = row
         return row
-
-    def intern(self, key: object) -> int:
-        """The row for ``key``, created on first use."""
-        row = self._index.get(key)
-        if row is None:
-            row = self.add_row(key)
-        return row
-
-    def _grow(self) -> None:
-        self._capacity *= 2
-        for col in self._cols.values():
-            col.extend([0] * (self._capacity - len(col)))
-
-    def column(self, name: str) -> list:
-        """The live backing list for ``name``."""
-        return self._cols[name]
 
     def get(self, name: str, row: int) -> int:
         return self._cols[name][row]
 
     def set(self, name: str, row: int, value: int) -> None:
         self._cols[name][row] = value
-
-    def inc(self, name: str, row: int, amount: int = 1) -> None:
-        self._cols[name][row] += amount
-
-    def row_values(self, row: int) -> dict:
-        return {name: col[row] for name, col in self._cols.items()}
-
-    def stats(self) -> dict:
-        return {"rows": self.rows, "columns": list(self.columns)}
 
 
 #: Process-wide bank backing every :class:`SubscriberBlock`'s delivery
@@ -149,25 +116,17 @@ class DeliveryView:
         agent: "EcmpAgent",
         channel: "Channel",
         stats,
-        hist_family=None,
-        node_name: str = "",
+        hist=None,
     ) -> None:
         self.agent = agent
         self.channel = channel
-        #: The forwarder's stats bag (Counter or CounterBag) — flush
-        #: targets, same keys the per-packet path used to increment.
+        #: The forwarder's stats bag — flush targets, same keys the
+        #: per-packet path used to increment.
         self.stats = stats
-        #: Memoized delivery-latency histogram child (obs mode only):
-        #: latency is a per-packet distribution, so it is observed at
-        #: delivery time, not deferred — but through this cached child
-        #: instead of a ``labels(...)`` lookup per packet.
-        self.hist = (
-            hist_family.labels(
-                protocol="express", node=node_name, channel=str(channel)
-            )
-            if hist_family is not None
-            else None
-        )
+        #: The channel's delivery-latency histogram child (obs mode
+        #: only): latency is a per-packet distribution, so it is
+        #: observed at delivery time, not deferred.
+        self.hist = hist
         self.version = -1
         self.blocks: tuple = ()
         self.members: list[int] = []
@@ -217,65 +176,3 @@ def flush_agent_views(agent: "EcmpAgent") -> None:
     for view in agent._delivery_views.values():
         if view.pending_packets:
             view.flush()
-
-
-#: Column order shared by :class:`LinkAccounting` and
-#: :class:`~repro.obs.hooks.LinkMetrics` pending attributes.
-LINK_COLUMNS = ("packets", "lost", "ecmp_packets", "ecmp_bytes")
-
-
-class LinkAccounting:
-    """Per-registry flush aggregator for link counters.
-
-    Each :class:`~repro.obs.hooks.LinkMetrics` registers here once; its
-    per-packet methods then only bump plain integer attributes. The
-    single collector registered on the registry folds all pending
-    counts into the bank's preallocated columns and increments the
-    *same* registry families (``link_packets_total`` etc.) by the same
-    deltas — exporters, snapshots, and the fleet merge see identical
-    series, just updated at collect boundaries instead of per packet.
-    """
-
-    __slots__ = ("bank", "_metrics")
-
-    def __init__(self, registry) -> None:
-        self.bank = CounterBank(LINK_COLUMNS)
-        self._metrics: list = []
-        registry.register_collector(self.flush)
-
-    def attach(self, metrics) -> int:
-        """Register one LinkMetrics; returns its interned bank row."""
-        self._metrics.append(metrics)
-        return self.bank.intern(metrics.link)
-
-    def flush(self) -> None:
-        bank = self.bank
-        for metrics in self._metrics:
-            pending = metrics.take_pending()
-            if pending is None:
-                continue
-            packets, lost, ecmp_packets, ecmp_bytes = pending
-            row = metrics.row
-            if packets:
-                bank.inc("packets", row, packets)
-                metrics._c_packets.inc(packets)
-            if lost:
-                bank.inc("lost", row, lost)
-                metrics._c_lost.inc(lost)
-            if ecmp_packets:
-                bank.inc("ecmp_packets", row, ecmp_packets)
-                metrics._c_ecmp_packets.inc(ecmp_packets)
-            if ecmp_bytes:
-                bank.inc("ecmp_bytes", row, ecmp_bytes)
-                metrics._c_ecmp_bytes.inc(ecmp_bytes)
-
-
-def link_accounting(registry) -> LinkAccounting:
-    """The registry's :class:`LinkAccounting`, created on first use and
-    cached on the registry object itself (one bank + one collector per
-    registry, however many links attach)."""
-    accounting = getattr(registry, "_link_accounting", None)
-    if accounting is None:
-        accounting = LinkAccounting(registry)
-        registry._link_accounting = accounting
-    return accounting

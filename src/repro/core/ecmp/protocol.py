@@ -237,8 +237,8 @@ class EcmpAgent(ProtocolAgent):
         Tolerance curve used when ``propagation`` is PROACTIVE (or when
         enabling proactive counting locally).
     obs:
-        Optional :class:`repro.obs.Observability`. When set, the agent's
-        ``stats`` bag is backed by the shared metrics registry
+        Optional :class:`repro.obs.Observability`. When set, a registry
+        collector publishes the agent's ``stats`` bag at collect time
         (``ecmp_events_total{node,event}``), every message tx/rx is
         counted per channel (``ecmp_messages_total``), and every ECMP
         message carries a trace/span id so control-plane causality
@@ -320,14 +320,21 @@ class EcmpAgent(ProtocolAgent):
         #: pending delivery tallies accumulated under the old counts.
         self._delivery_views: dict[Channel, object] = {}
         self.obs = obs
-        if obs is None:
-            self.stats = Counter()
-            self._m_messages = self._m_bytes = None
-            self._m_wire_bytes = self._m_coalesced = self._m_flushes = None
-        else:
+        self.stats = Counter()
+        #: Obs-only children, resolved the first time a label tuple is
+        #: seen: (direction, message class, channel) -> message counter,
+        #: flush trigger -> flush counter, and the rx logical-bytes
+        #: counter. Everything ``stats`` already counts is published by
+        #: :meth:`_collect` instead.
+        self._c_messages: dict[tuple, object] = {}
+        self._c_flushes: dict[str, object] = {}
+        self._c_bytes_rx = None
+        if obs is not None:
             registry = obs.registry
-            self.stats = registry.counter_bag(
-                "ecmp_events_total", "ECMP protocol events by node", node=node.name
+            self._m_events = registry.counter(
+                "ecmp_events_total",
+                "ECMP protocol events by node",
+                ("node", "event"),
             )
             self._m_messages = registry.counter(
                 "ecmp_messages_total",
@@ -357,6 +364,7 @@ class EcmpAgent(ProtocolAgent):
                 "Dirty-channel queue flushes by node and trigger",
                 ("node", "trigger"),
             )
+            registry.register_collector(self._collect)
         #: Per-TCP-neighbor dirty-channel queues and their flush timers.
         self._batch_queues: dict[str, DirtyChannelQueue] = {}
         self._flush_events: dict[str, object] = {}
@@ -747,10 +755,6 @@ class EcmpAgent(ProtocolAgent):
         self.neighbor_last_heard[from_name] = self.sim.now
         self.stats.incr("wire_recvs")
         self.stats.incr("bytes_on_wire_rx", packet.size)
-        if self._m_wire_bytes is not None:
-            self._m_wire_bytes.labels(node=self.node.name, direction="rx").inc(
-                packet.size
-            )
         span_ctx = packet.headers.get(SPAN_HEADER)
         if isinstance(message, EcmpBatch):
             self.stats.incr("batches_rx")
@@ -783,15 +787,47 @@ class EcmpAgent(ProtocolAgent):
         if self.obs is None:
             handler(message, from_name)
             return
-        size = IP_OVERHEAD + message.wire_size()
-        self._m_messages.labels(
-            node=self.node.name,
-            direction="rx",
-            type=type(message).__name__,
-            channel=str(message.channel),
-        ).inc()
-        self._m_bytes.labels(node=self.node.name, direction="rx").inc(size)
+        self._message_counter("rx", message).inc()
+        bytes_rx = self._c_bytes_rx
+        if bytes_rx is None:
+            bytes_rx = self._c_bytes_rx = self._m_bytes.labels(
+                node=self.node.name, direction="rx"
+            )
+        bytes_rx.inc(IP_OVERHEAD + message.wire_size())
         self._handle_traced(message, from_name, kind, handler, span_ctx)
+
+    def _message_counter(self, direction: str, message: EcmpMessage):
+        """The ``ecmp_messages_total`` child for one message, resolved
+        (and its channel label formatted) once per (direction, type,
+        channel)."""
+        key = (direction, type(message), message.channel)
+        child = self._c_messages.get(key)
+        if child is None:
+            child = self._c_messages[key] = self._m_messages.labels(
+                node=self.node.name,
+                direction=direction,
+                type=type(message).__name__,
+                channel=message.channel,
+            )
+        return child
+
+    def _collect(self) -> None:
+        """Registry collector: publish ``stats`` as
+        ``ecmp_events_total``, and the families that are sums ``stats``
+        already keeps (wire bytes, coalesced messages, tx logical
+        bytes)."""
+        node = self.node.name
+        stats = self.stats.as_dict()
+        for event, value in stats.items():
+            self._m_events.child((node, event)).value = value
+        for family, labels, event in (
+            (self._m_wire_bytes, (node, "tx"), "bytes_on_wire"),
+            (self._m_wire_bytes, (node, "rx"), "bytes_on_wire_rx"),
+            (self._m_coalesced, (node,), "msgs_coalesced"),
+            (self._m_bytes, (node, "tx"), "bytes_tx"),
+        ):
+            if event in stats:
+                family.child(labels).value = stats[event]
 
     def _handle_traced(
         self,
@@ -870,13 +906,7 @@ class EcmpAgent(ProtocolAgent):
                 # of the receiver's handling span — even if the wire
                 # send happens later, from a flush event.
                 span_ctx = current.context
-            self._m_messages.labels(
-                node=self.node.name,
-                direction="tx",
-                type=type(message).__name__,
-                channel=str(message.channel),
-            ).inc()
-            self._m_bytes.labels(node=self.node.name, direction="tx").inc(size)
+            self._message_counter("tx", message).inc()
         if not self.batching or self.mode_of(neighbor) is not NeighborMode.TCP:
             # UDP-mode neighbors (and batching-off agents) keep the
             # one-datagram-per-message path.
@@ -893,8 +923,6 @@ class EcmpAgent(ProtocolAgent):
         if queue.enqueue(message, pinned, span_ctx):
             # Last-writer-wins: the overwritten message never hits the wire.
             self.stats.incr("msgs_coalesced")
-            if self._m_coalesced is not None:
-                self._m_coalesced.labels(node=self.node.name).inc()
         if urgent:
             self._flush_neighbor(neighbor, trigger="urgent")
         elif len(queue) >= self.BATCH_MAX_RECORDS:
@@ -958,8 +986,6 @@ class EcmpAgent(ProtocolAgent):
             packet.headers[SPAN_HEADER] = contexts[0]
         self.stats.incr("wire_sends")
         self.stats.incr("bytes_on_wire", size)
-        if self._m_wire_bytes is not None:
-            self._m_wire_bytes.labels(node=self.node.name, direction="tx").inc(size)
         self.node.send_to_neighbor(packet, peer)
 
     def _flush_neighbor(self, neighbor: str, trigger: str = "timer") -> None:
@@ -977,16 +1003,19 @@ class EcmpAgent(ProtocolAgent):
             return
         records = queue.records
         self.stats.incr("batch_flushes")
-        if self._m_flushes is not None:
-            self._m_flushes.labels(node=self.node.name, trigger=trigger).inc()
+        if self.obs is not None:
+            flushes = self._c_flushes.get(trigger)
+            if flushes is None:
+                flushes = self._c_flushes[trigger] = self._m_flushes.labels(
+                    node=self.node.name, trigger=trigger
+                )
+            flushes.inc()
         if len(records) == 1:
             self._transmit(records[0].message, peer, contexts=(records[0].span_ctx,))
             return
         batch = EcmpBatch(messages=tuple(r.message for r in records))
         self.stats.incr("batch_records_tx", len(records))
         self.stats.incr("msgs_coalesced", len(records) - 1)
-        if self._m_coalesced is not None:
-            self._m_coalesced.labels(node=self.node.name).inc(len(records) - 1)
         self._transmit(batch, peer, contexts=tuple(r.span_ctx for r in records))
 
     def _flush_timer_fired(self, neighbor: str) -> None:

@@ -58,15 +58,17 @@ class ExpressForwarder(ProtocolAgent):
         self.fib = fib
         self.ecmp = ecmp
         self.obs = obs
-        if obs is None:
-            self.stats = Counter()
-            self._m_delivery = None
-        else:
+        self.stats = Counter()
+        self._m_delivery = None
+        #: channel -> delivery-latency histogram child (obs mode only),
+        #: resolved the first time the channel delivers here.
+        self._c_delivery: dict = {}
+        if obs is not None:
             registry = obs.registry
-            self.stats = registry.counter_bag(
+            self._m_events = registry.counter(
                 "forwarder_events_total",
                 "Data-plane forwarding events by node",
-                node=node.name,
+                ("node", "event"),
             )
             self._m_delivery = registry.histogram(
                 "delivery_latency_seconds",
@@ -74,16 +76,29 @@ class ExpressForwarder(ProtocolAgent):
                 "subscriber delivery",
                 ("protocol", "node", "channel"),
             )
-            # Snapshot boundary: pending delivery-view tallies must land
-            # in the block counters and stats bag before any export.
-            registry.register_collector(self._flush_views)
+            registry.register_collector(self._collect)
         #: Callbacks for unicast datagrams addressed to this node.
         self._unicast_sinks: list[Callable[[Packet], None]] = []
 
-    def _flush_views(self) -> None:
+    def _collect(self) -> None:
         """Registry collector: apply pending delivery tallies (see
-        :mod:`repro.core.accounting`)."""
+        :mod:`repro.core.accounting`), then publish ``stats`` as
+        ``forwarder_events_total``."""
         flush_agent_views(self.ecmp)
+        node = self.node.name
+        for event, value in self.stats.as_dict().items():
+            self._m_events.child((node, event)).value = value
+
+    def _delivery_hist(self, channel):
+        """The delivery-latency child for ``channel``; None without obs."""
+        if self._m_delivery is None:
+            return None
+        child = self._c_delivery.get(channel)
+        if child is None:
+            child = self._c_delivery[channel] = self._m_delivery.labels(
+                protocol="express", node=self.node.name, channel=channel
+            )
+        return child
 
     def on_unicast_delivery(self, callback: Callable[[Packet], None]) -> None:
         """Register an application sink for unicast packets addressed
@@ -251,8 +266,7 @@ class ExpressForwarder(ProtocolAgent):
             view = views.get(channel)
             if view is None:
                 view = views[channel] = DeliveryView(
-                    ecmp, channel, self.stats, self._m_delivery,
-                    self.node.name,
+                    ecmp, channel, self.stats, self._delivery_hist(channel)
                 )
             if view.version != ecmp.blocks_version:
                 view.flush()
@@ -269,9 +283,7 @@ class ExpressForwarder(ProtocolAgent):
         handle.bytes_received += packet.size
         self.stats.incr("local_deliveries")
         if self._m_delivery is not None:
-            self._m_delivery.labels(
-                protocol="express", node=self.node.name, channel=str(channel)
-            ).observe(self.sim.now - packet.created_at)
+            self._delivery_hist(channel).observe(self.sim.now - packet.created_at)
         if handle.on_data is not None:
             handle.on_data(packet)
         return True

@@ -157,6 +157,10 @@ class GroupNetwork:
         self.protocol = protocol
         self.rp = rp
         self.obs = obs
+        #: Obs-only children, resolved on first sight: message type ->
+        #: message counter, (node, group) -> delivery-latency child.
+        self._c_messages: dict[str, object] = {}
+        self._c_delivery: dict[tuple[str, int], object] = {}
         if obs is None:
             self._m_messages = self._m_delivery = None
         else:
@@ -250,8 +254,7 @@ class GroupNetwork:
         elif self.protocol == "cbt":
             self._send_cbt(host, CbtJoinLeave(group=group, join=True))
         else:
-            if self._m_messages is not None:
-                self._m_messages.labels(protocol="dvmrp", type="join").inc()
+            self._count_message("join")
             self.routers[router].host_joined(group, host)
 
     def _host_left(self, host: str, group: int) -> None:
@@ -261,17 +264,31 @@ class GroupNetwork:
         elif self.protocol == "cbt":
             self._send_cbt(host, CbtJoinLeave(group=group, join=False))
         else:
-            if self._m_messages is not None:
-                self._m_messages.labels(protocol="dvmrp", type="leave").inc()
+            self._count_message("leave")
             self.routers[router].host_left(group, host)
 
     def _observe_delivery(self, node: str, group: int, latency: float) -> None:
         """Record one host delivery into the shared latency histogram
         (same family as EXPRESS, labelled by this group protocol)."""
-        if self._m_delivery is not None:
-            self._m_delivery.labels(
+        if self._m_delivery is None:
+            return
+        child = self._c_delivery.get((node, group))
+        if child is None:
+            child = self._c_delivery[(node, group)] = self._m_delivery.labels(
                 protocol=self.protocol, node=node, channel=format_address(group)
-            ).observe(latency)
+            )
+        child.observe(latency)
+
+    def _count_message(self, kind: str) -> None:
+        """Count one control message of ``kind`` (obs mode only)."""
+        if self._m_messages is None:
+            return
+        child = self._c_messages.get(kind)
+        if child is None:
+            child = self._c_messages[kind] = self._m_messages.labels(
+                protocol=self.protocol, type=kind
+            )
+        child.inc()
 
     def _send_cbt(self, host: str, message: CbtJoinLeave) -> None:
         node = self.topo.node(host)
@@ -282,10 +299,7 @@ class GroupNetwork:
         )
         packet.headers["cbt"] = message
         packet.headers["reliable"] = True
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                protocol="cbt", type="join" if message.join else "leave"
-            ).inc()
+        self._count_message("join" if message.join else "leave")
         node.send_to_neighbor(packet, router)
 
     def _send_join_prune(self, host: str, message: PimJoinPrune) -> None:
@@ -297,10 +311,7 @@ class GroupNetwork:
         )
         packet.headers["pim"] = message
         packet.headers["reliable"] = True
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                protocol="pim", type="join" if message.join else "prune"
-            ).inc()
+        self._count_message("join" if message.join else "prune")
         node.send_to_neighbor(packet, router)
 
     def switch_to_spt(self, host: str, source_host: str, group: int) -> None:

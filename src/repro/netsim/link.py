@@ -48,20 +48,19 @@ class Link:
         self.bandwidth = bandwidth
         self.loss = loss
         self.up = True
+        #: The link's counters; :class:`repro.obs.hooks.LinkCounters`
+        #: reads them at collect time, nothing else mirrors them.
         self.tx_packets = 0
         self.lost_packets = 0
         self.ecmp_wire_packets = 0
         self.ecmp_wire_bytes = 0
-        #: Optional :class:`repro.obs.hooks.LinkMetrics` set by
-        #: Observability attachment.
-        self.metrics = None
         #: Optional capture hook installed by the parallel-simulation
         #: proxy layer (:mod:`repro.netsim.parallel.proxy`) on cut
         #: links: when set, delivery is not scheduled locally — the
         #: packet (with its exact arrival time and receive interface)
         #: is handed to ``capture(link, sender, packet, arrival_time)``
         #: for export to the partition that owns the far end. All
-        #: sender-side accounting (tx counters, loss draw, metrics)
+        #: sender-side accounting (tx counters, loss draw)
         #: still happens, so per-link counters match a single-process
         #: run when summed across partitions.
         self.capture = None
@@ -107,22 +106,16 @@ class Link:
         if not self.up:
             return
         self.tx_packets += 1
-        if self.metrics is not None:
-            self.metrics.transmitted()
         if packet.proto == "ecmp":
             # Wire-level control accounting: one increment per wire
             # packet, so a coalesced batch frame counts once.
             self.ecmp_wire_packets += 1
             self.ecmp_wire_bytes += packet.size
-            if self.metrics is not None:
-                self.metrics.ecmp_wire(packet.size)
         # TCP-mode control traffic is marked reliable: retransmission
         # hides loss, so the loss draw is skipped (delay still applies).
         reliable = bool(packet.headers.get("reliable"))
         if self.loss and not reliable and self.sim.rng.random() < self.loss:
             self.lost_packets += 1
-            if self.metrics is not None:
-                self.metrics.lost()
             return
         receiver = self.other_end(sender)
         rx_iface = self.interface_of(receiver)

@@ -7,7 +7,9 @@ is serialized with the *real* ECMP wire codec
 (:func:`repro.core.ecmp.messages.encode_message`), so coalesced
 TCP-mode batches cross the cut as genuine ``MSG_BATCH`` frames and the
 sharded simulator exercises the same encode/decode paths as a
-``wire_format=True`` run. Tracer span contexts (the ``spanctx`` header
+``wire_format=True`` run. Such a run already carries those bytes as the
+ECMP packet's ``payload``; they ride in the same slot and come back as
+the payload, untouched. Tracer span contexts (the ``spanctx`` header
 instrumented runs put on every control message) travel in a compact
 struct block — kind(1) count(2), then per entry present(1) +
 trace_id(8) span_id(8) — so cross-shard trace stitching costs 17 bytes
@@ -47,8 +49,9 @@ _HEAD = struct.Struct("!IIHBBId IIH")
 
 _FLAG_RELIABLE = 0x01
 _FLAG_ECMP = 0x02
-#: The ``ecmp`` header already held wire bytes (a ``wire_format=True``
-#: network); pass them through instead of re-encoding.
+#: The ECMP slot carries the packet's ``payload``: a ``wire_format=True``
+#: network puts the encoded message bytes there instead of in the
+#: ``ecmp`` header. Decode restores them to ``payload`` unchanged.
 _FLAG_ECMP_RAW = 0x04
 _FLAG_EXTRA = 0x08
 #: A trace context (or an aligned list of them, for batch frames) rides
@@ -117,14 +120,15 @@ def encode_packet(packet: Packet) -> bytes:
     if headers.pop("reliable", False):
         flags |= _FLAG_RELIABLE
     ecmp_bytes = b""
+    payload = packet.payload
     message = headers.pop("ecmp", None)
     if message is not None:
         flags |= _FLAG_ECMP
-        if isinstance(message, (bytes, bytearray)):
-            flags |= _FLAG_ECMP_RAW
-            ecmp_bytes = bytes(message)
-        else:
-            ecmp_bytes = encode_message(message)
+        ecmp_bytes = encode_message(message)
+    elif packet.proto == "ecmp" and isinstance(payload, (bytes, bytearray)):
+        flags |= _FLAG_ECMP | _FLAG_ECMP_RAW
+        ecmp_bytes = bytes(payload)
+        payload = None
     span_bytes = b""
     spanctx = headers.pop(SPAN_HEADER, None)
     if spanctx is not None:
@@ -133,9 +137,9 @@ def encode_packet(packet: Packet) -> bytes:
         if len(span_bytes) > 0xFFFF:
             raise CodecError(f"span block too large: {len(span_bytes)} bytes")
     extra = b""
-    if headers or packet.payload is not None:
+    if headers or payload is not None:
         flags |= _FLAG_EXTRA
-        extra = pickle.dumps((headers, packet.payload), protocol=pickle.HIGHEST_PROTOCOL)
+        extra = pickle.dumps((headers, payload), protocol=pickle.HIGHEST_PROTOCOL)
     proto = packet.proto.encode("ascii")
     if len(proto) > 0xFF:
         raise CodecError(f"proto label too long: {packet.proto!r}")
@@ -176,11 +180,14 @@ def decode_packet(data: bytes) -> Packet:
     payload = None
     if flags & _FLAG_ECMP:
         raw = data[at : at + ecmp_len]
-        headers["ecmp"] = bytes(raw) if flags & _FLAG_ECMP_RAW else decode_message(raw)
+        if not flags & _FLAG_ECMP_RAW:
+            headers["ecmp"] = decode_message(raw)
     at += ecmp_len
     if flags & _FLAG_EXTRA:
         extra_headers, payload = pickle.loads(data[at : at + extra_len])
         headers.update(extra_headers)
+    if flags & _FLAG_ECMP_RAW:
+        payload = bytes(raw)
     at += extra_len
     if flags & _FLAG_SPANCTX:
         headers[SPAN_HEADER] = _decode_spanctx(data[at : at + span_len])

@@ -26,7 +26,6 @@ from repro.obs.convergence import ConvergenceMonitor, settle_seconds
 from repro.obs.flightrecorder import FlightRecorder
 from repro.obs.hooks import (
     SPAN_HEADER,
-    LinkMetrics,
     NodeMetrics,
     Observability,
     attach_topology,
@@ -35,7 +34,6 @@ from repro.obs.hooks import (
 from repro.obs.registry import (
     LATENCY_BUCKETS,
     WALL_BUCKETS,
-    CounterBag,
     MetricError,
     MetricFamily,
     MetricsRegistry,
@@ -55,10 +53,8 @@ __all__ = [
     "LATENCY_BUCKETS",
     "WALL_BUCKETS",
     "ConvergenceMonitor",
-    "CounterBag",
     "FleetAggregator",
     "FlightRecorder",
-    "LinkMetrics",
     "MetricError",
     "MetricFamily",
     "MetricsRegistry",

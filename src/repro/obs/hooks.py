@@ -8,7 +8,14 @@ Three layers get instrumented without touching their call sites:
   free;
 * every :class:`~repro.netsim.node.Node` — per-node tx/rx/drop packet
   and byte counters;
-* every :class:`~repro.netsim.link.Link` — transmit/loss counters.
+* every :class:`~repro.netsim.link.Link` — transmit/loss counters,
+  pulled from the link's own attributes at collect time.
+
+Per-event paths never call :meth:`MetricFamily.labels`: the dispatch
+listener and :class:`NodeMetrics` resolve a child the first time they
+see a label tuple and keep it in a memo dict, and link counts are read
+by one collector (:class:`LinkCounters`) only when the registry is
+collected.
 
 :class:`Observability` bundles one registry and one tracer; pass it to
 ``ExpressNetwork(..., obs=obs)`` or ``GroupNetwork(..., obs=obs)`` (or
@@ -21,12 +28,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.accounting import link_accounting
 from repro.obs.registry import WALL_BUCKETS, MetricsRegistry
 from repro.obs.tracing import Tracer, shard_id_base
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.engine import Event, Simulator
+    from repro.netsim.link import Link
     from repro.netsim.topology import Topology
     from repro.obs.convergence import ConvergenceMonitor
 
@@ -55,6 +62,8 @@ class Observability:
         #: every durable state mutation and the monitor timestamps it.
         self.convergence: Optional["ConvergenceMonitor"] = None
         self._bound_sims: set[int] = set()
+        #: The link collector, created by the first :func:`attach_topology`.
+        self.link_counters: Optional[LinkCounters] = None
 
     def bind_simulator(self, sim: "Simulator") -> None:
         """Point the tracer clock at ``sim.now`` and install the
@@ -75,9 +84,13 @@ class Observability:
 
 
 class NodeMetrics:
-    """Per-node packet/byte counters, bound once per node."""
+    """Per-node packet/byte counters, bound once per node.
 
-    __slots__ = ("node", "_packets", "_bytes")
+    Children are resolved once per ``(direction, proto)`` pair, the
+    first time the node sees it; every later packet is two integer adds.
+    """
+
+    __slots__ = ("node", "_packets", "_bytes", "_children")
 
     def __init__(self, registry: MetricsRegistry, node: str) -> None:
         self.node = node
@@ -91,89 +104,73 @@ class NodeMetrics:
             "Bytes seen at a node by direction and protocol",
             ("node", "direction", "proto"),
         )
+        self._children: dict[tuple[str, str], tuple] = {}
 
     def packet(self, direction: str, proto: str, size: int) -> None:
-        labels = {"node": self.node, "direction": direction, "proto": proto}
-        self._packets.labels(**labels).inc()
-        self._bytes.labels(**labels).inc(size)
+        children = self._children.get((direction, proto))
+        if children is None:
+            labels = {"node": self.node, "direction": direction, "proto": proto}
+            children = self._children[(direction, proto)] = (
+                self._packets.labels(**labels),
+                self._bytes.labels(**labels),
+            )
+        children[0].value += 1
+        children[1].value += size
 
 
-class LinkMetrics:
-    """Per-link transmit/loss counters, bound once per link.
+#: (family, help, Link attribute) for every pulled link counter.
+LINK_FAMILIES = (
+    ("link_packets_total", "Packets entering a link", "tx_packets"),
+    ("link_lost_packets_total", "Packets lost in transit on a link", "lost_packets"),
+    (
+        "link_ecmp_wire_packets_total",
+        "ECMP control packets entering a link (batch frame counts as one)",
+        "ecmp_wire_packets",
+    ),
+    (
+        "link_ecmp_wire_bytes_total",
+        "ECMP control bytes entering a link, post-coalescing",
+        "ecmp_wire_bytes",
+    ),
+)
 
-    The per-packet methods only bump plain integer attributes; the
-    registry's :class:`~repro.core.accounting.LinkAccounting` collector
-    folds the pending counts into its preallocated counter bank and the
-    same four families below at every collect/snapshot boundary, so
-    exporters see identical series without per-packet ``labels(...)``
-    lookups on the data path.
+
+class LinkCounters:
+    """The registry collector for every attached link.
+
+    A link already counts what crosses it (``tx_packets`` and friends);
+    at collect time this collector adds what each attribute gained since
+    the previous collect (or since the link was attached) to the
+    ``link_*_total`` series, so a late attach reports counts since
+    attach and a second collect changes nothing.
     """
 
-    __slots__ = (
-        "link",
-        "row",
-        "p_packets",
-        "p_lost",
-        "p_ecmp_packets",
-        "p_ecmp_bytes",
-        "_c_packets",
-        "_c_lost",
-        "_c_ecmp_packets",
-        "_c_ecmp_bytes",
-    )
+    __slots__ = ("_families", "_links")
 
-    def __init__(self, registry: MetricsRegistry, link: str) -> None:
-        self.link = link
-        self._c_packets = registry.counter(
-            "link_packets_total", "Packets entering a link", ("link",)
-        ).labels(link=link)
-        self._c_lost = registry.counter(
-            "link_lost_packets_total", "Packets lost in transit on a link", ("link",)
-        ).labels(link=link)
-        self._c_ecmp_packets = registry.counter(
-            "link_ecmp_wire_packets_total",
-            "ECMP control packets entering a link (batch frame counts as one)",
-            ("link",),
-        ).labels(link=link)
-        self._c_ecmp_bytes = registry.counter(
-            "link_ecmp_wire_bytes_total",
-            "ECMP control bytes entering a link, post-coalescing",
-            ("link",),
-        ).labels(link=link)
-        self.p_packets = 0
-        self.p_lost = 0
-        self.p_ecmp_packets = 0
-        self.p_ecmp_bytes = 0
-        self.row = link_accounting(registry).attach(self)
-
-    def transmitted(self) -> None:
-        self.p_packets += 1
-
-    def lost(self) -> None:
-        self.p_lost += 1
-
-    def ecmp_wire(self, size: int) -> None:
-        self.p_ecmp_packets += 1
-        self.p_ecmp_bytes += size
-
-    def take_pending(self) -> Optional[tuple]:
-        """Drain the pending per-packet counts (flush protocol with
-        :class:`~repro.core.accounting.LinkAccounting`); None when
-        nothing is pending."""
-        if not (
-            self.p_packets or self.p_lost
-            or self.p_ecmp_packets or self.p_ecmp_bytes
-        ):
-            return None
-        pending = (
-            self.p_packets, self.p_lost,
-            self.p_ecmp_packets, self.p_ecmp_bytes,
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._families = tuple(
+            registry.counter(name, help, ("link",))
+            for name, help, _ in LINK_FAMILIES
         )
-        self.p_packets = 0
-        self.p_lost = 0
-        self.p_ecmp_packets = 0
-        self.p_ecmp_bytes = 0
-        return pending
+        #: link -> (its children, attribute values already reported)
+        self._links: dict["Link", tuple[list, list[int]]] = {}
+        registry.register_collector(self.collect)
+
+    def attach(self, link: "Link") -> None:
+        """Start reporting ``link`` (idempotent)."""
+        if link not in self._links:
+            name = f"{link.node_a.name}--{link.node_b.name}"
+            self._links[link] = (
+                [family.labels(link=name) for family in self._families],
+                [getattr(link, attr) for _, _, attr in LINK_FAMILIES],
+            )
+
+    def collect(self) -> None:
+        for link, (children, seen) in self._links.items():
+            for index, (_, _, attr) in enumerate(LINK_FAMILIES):
+                now = getattr(link, attr)
+                children[index].value += now - seen[index]
+                seen[index] = now
 
 
 def instrument_simulator(sim: "Simulator", registry: MetricsRegistry) -> None:
@@ -200,10 +197,19 @@ def instrument_simulator(sim: "Simulator", registry: MetricsRegistry) -> None:
         ("scheduler", "stat"),
     )
 
+    # event name -> (count child, wall-time child), resolved on first sight.
+    children: dict[Optional[str], tuple] = {}
+
     def listener(simulator: "Simulator", event: "Event", wall: float) -> None:
-        name = event.name or "(anonymous)"
-        events_total.labels(name=name).inc()
-        event_wall.labels(name=name).observe(wall)
+        pair = children.get(event.name)
+        if pair is None:
+            name = event.name or "(anonymous)"
+            pair = children[event.name] = (
+                events_total.labels(name=name),
+                event_wall.labels(name=name),
+            )
+        pair[0].value += 1
+        pair[1].observe(wall)
 
     sim.add_dispatch_listener(listener)
 
@@ -225,74 +231,64 @@ class SyncMetrics:
     All families share the ``parallel_`` prefix so equivalence
     comparisons can exclude them wholesale: sync traffic exists only in
     sharded runs and legitimately has no single-process counterpart.
+    Every series is labelled by this one partition, so children are
+    resolved here, once.
     """
-
-    __slots__ = (
-        "partition",
-        "_null_messages",
-        "_lbts_stalls",
-        "_proxy_bytes",
-        "_proxy_packets",
-        "_import_bytes",
-        "_import_packets",
-        "_rounds",
-        "_windows",
-        "_frames",
-        "_phase_seconds",
-        "_events_per_sec",
-        "_null_ratio",
-    )
 
     def __init__(self, registry: MetricsRegistry, partition: int) -> None:
         self.partition = str(partition)
-        self._null_messages = registry.counter(
+
+        def counter(name: str, help: str):
+            return registry.counter(name, help, ("partition",)).labels(
+                partition=self.partition
+            )
+
+        self._null_messages = counter(
             "parallel_null_messages_total",
             "Null-message/LBTS announcements sent by a partition worker",
-            ("partition",),
         )
-        self._lbts_stalls = registry.counter(
+        self._lbts_stalls = counter(
             "parallel_lbts_stalls_total",
             "Sync rounds where a worker had a runnable event past the "
             "global LBTS horizon and had to wait",
-            ("partition",),
         )
-        self._proxy_bytes = registry.counter(
+        self._proxy_bytes = counter(
             "parallel_proxy_bytes_total",
             "Serialized packet bytes exported across cut links",
-            ("partition",),
         )
-        self._proxy_packets = registry.counter(
+        self._proxy_packets = counter(
             "parallel_proxy_packets_total",
             "Packets exported across cut links",
-            ("partition",),
         )
-        self._import_bytes = registry.counter(
+        self._import_bytes = counter(
             "parallel_proxy_import_bytes_total",
             "Serialized packet bytes imported across cut links (fleet "
             "totals must balance the export counters)",
-            ("partition",),
         )
-        self._import_packets = registry.counter(
+        self._import_packets = counter(
             "parallel_proxy_import_packets_total",
             "Packets imported across cut links",
-            ("partition",),
         )
-        self._rounds = registry.counter(
+        self._rounds = counter(
             "parallel_sync_rounds_total",
             "Conservative-sync rounds (grants served) by a partition worker",
-            ("partition",),
         )
-        self._windows = registry.counter(
+        self._windows = counter(
             "parallel_sync_windows_total",
             "Exclusive-horizon simulator windows drained by a partition "
             "worker (> rounds under multi-window demand grants)",
-            ("partition",),
         )
-        self._frames = registry.counter(
+        frames = registry.counter(
             "parallel_sync_frames_total",
             "Protocol frames a partition worker exchanged with the "
             "coordinator, by direction",
             ("partition", "direction"),
+        )
+        self._frames_sent = frames.labels(
+            partition=self.partition, direction="sent"
+        )
+        self._frames_received = frames.labels(
+            partition=self.partition, direction="received"
         )
         self._phase_seconds = registry.gauge(
             "parallel_phase_seconds",
@@ -304,64 +300,57 @@ class SyncMetrics:
             "parallel_events_per_second",
             "Events dispatched per wall second by a partition worker",
             ("partition",),
-        )
+        ).labels(partition=self.partition)
         self._null_ratio = registry.gauge(
             "parallel_null_message_ratio",
             "Fraction of a worker's reports that were pure clock "
             "announcements (no exports, no dispatched work)",
             ("partition",),
-        )
+        ).labels(partition=self.partition)
 
     def null_message(self) -> None:
-        self._null_messages.labels(partition=self.partition).inc()
+        self._null_messages.inc()
 
     def lbts_stall(self) -> None:
-        self._lbts_stalls.labels(partition=self.partition).inc()
+        self._lbts_stalls.inc()
 
     def proxy_export(self, size: int) -> None:
-        self._proxy_packets.labels(partition=self.partition).inc()
-        self._proxy_bytes.labels(partition=self.partition).inc(size)
+        self._proxy_packets.inc()
+        self._proxy_bytes.inc(size)
 
     def proxy_import(self, size: int) -> None:
-        self._import_packets.labels(partition=self.partition).inc()
-        self._import_bytes.labels(partition=self.partition).inc(size)
+        self._import_packets.inc()
+        self._import_bytes.inc(size)
 
     def sync_round(self, windows: int = 1) -> None:
-        self._rounds.labels(partition=self.partition).inc()
-        self._windows.labels(partition=self.partition).inc(windows)
+        self._rounds.inc()
+        self._windows.inc(windows)
 
     def set_phases(self, stats: "SyncStats") -> None:  # noqa: F821
-        """Publish a worker's phase accounting as gauges, and flush the
-        frame counters accumulated in the sync stats (called when the
-        worker finalizes its telemetry)."""
+        """Publish a worker's phase accounting as gauges, and the frame
+        counters accumulated in the sync stats (called when the worker
+        finalizes its telemetry)."""
         for phase, seconds in stats.phase_seconds().items():
             self._phase_seconds.labels(
                 partition=self.partition, phase=phase
             ).set(seconds)
-        self._events_per_sec.labels(partition=self.partition).set(
-            stats.events_per_second()
-        )
-        self._null_ratio.labels(partition=self.partition).set(
-            stats.null_message_ratio
-        )
-        sent = self._frames.labels(partition=self.partition, direction="sent")
-        received = self._frames.labels(
-            partition=self.partition, direction="received"
-        )
-        sent.inc(stats.frames_sent - sent.value)
-        received.inc(stats.frames_received - received.value)
+        self._events_per_sec.set(stats.events_per_second())
+        self._null_ratio.set(stats.null_message_ratio)
+        self._frames_sent.value = stats.frames_sent
+        self._frames_received.value = stats.frames_received
 
 
 def attach_topology(topo: "Topology", obs: Observability) -> Observability:
     """Instrument an entire topology: the simulator, every node, every
     link. Nodes/links added afterwards are not retro-instrumented; call
-    again after wiring if needed (re-attachment is idempotent)."""
+    again after wiring if needed (re-attachment is idempotent). Link
+    counters report what crossed the link since it was attached."""
     obs.bind_simulator(topo.sim)
     for node in topo.nodes.values():
         if node.metrics is None or node.metrics.node != node.name:
             node.metrics = NodeMetrics(obs.registry, node.name)
+    if obs.link_counters is None:
+        obs.link_counters = LinkCounters(obs.registry)
     for link in topo.links:
-        if link.metrics is None:
-            name = f"{link.node_a.name}--{link.node_b.name}"
-            link.metrics = LinkMetrics(obs.registry, name)
+        obs.link_counters.attach(link)
     return obs

@@ -1,10 +1,8 @@
 """Labelled metrics registry: counters, gauges, and histograms.
 
-The registry replaces the ad-hoc per-agent ``Counter`` bags that each
-benchmark used to re-derive by hand. A metric *family* is declared once
-(name, help text, label names); every distinct label-value combination
-materializes a *child* holding the actual value, exactly the Prometheus
-data model. Families are idempotent — declaring the same name twice
+A metric *family* is declared once (name, help text, label names);
+every distinct label-value combination materializes a *child* holding
+the actual value, exactly the Prometheus data model. Families are idempotent — declaring the same name twice
 returns the existing family (and raises if the type or label names
 disagree), so independent subsystems can share one family (e.g. EXPRESS
 and the PIM/DVMRP baselines both observe ``delivery_latency_seconds``
@@ -13,13 +11,20 @@ and comparisons read from the same registry).
 Histograms keep both cumulative buckets (for the Prometheus text
 exposition) and the raw samples (the simulator's scale makes exact
 p50/p90/p99 affordable, and the benchmarks want exact percentiles).
+
+Values arrive two ways. Facts the simulator already counts in plain
+integers (link attributes, protocol ``stats`` bags) are *pulled*: a
+collector copies them into children at every
+:meth:`MetricsRegistry.collect`. Facts only observability needs are
+*pushed* through children their owner resolves once, the first time it
+sees a label tuple, so :meth:`MetricFamily.labels` never runs per event.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import ceil, inf
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -232,59 +237,6 @@ class MetricFamily:
         return self._solo().value
 
 
-class CounterBag:
-    """Drop-in replacement for :class:`repro.netsim.trace.Counter` that
-    writes into a registry family instead of a private dict.
-
-    The bag pins every label except ``event``; ``incr(key)`` becomes an
-    increment of ``family{..., event=key}``. Existing call sites
-    (``agent.stats.incr(...)`` / ``.as_dict()``) keep working while the
-    counts land in the shared registry.
-    """
-
-    def __init__(self, family: MetricFamily, **fixed: object) -> None:
-        if set(fixed) | {"event"} != set(family.labelnames):
-            raise MetricError(
-                f"{family.name}: CounterBag needs labels "
-                f"{tuple(n for n in family.labelnames if n != 'event')}, "
-                f"got {tuple(sorted(fixed))}"
-            )
-        self._family = family
-        self._fixed = {name: str(value) for name, value in fixed.items()}
-        #: key -> child memo: ``incr`` sits on delivery/flush fast
-        #: paths, so the per-call ``labels(...)`` dict build and schema
-        #: check are paid once per key instead of once per increment.
-        self._children: dict[str, CounterValue] = {}
-
-    def incr(self, key: str, amount: int = 1) -> None:
-        child = self._children.get(key)
-        if child is None:
-            child = self._children[key] = self._family.labels(
-                event=key, **self._fixed
-            )
-        child.inc(amount)
-
-    def get(self, key: str) -> int:
-        mapping = dict(self._fixed, event=key)
-        values = tuple(mapping[name] for name in self._family.labelnames)
-        child = self._family._children.get(values)
-        return int(child.value) if child is not None else 0
-
-    def as_dict(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for values, child in self._family.children():
-            mapping = dict(zip(self._family.labelnames, values))
-            if all(mapping[k] == v for k, v in self._fixed.items()):
-                out[mapping["event"]] = int(child.value)
-        return out
-
-    def keys(self) -> Iterable[str]:
-        return self.as_dict().keys()
-
-    def __getitem__(self, key: str) -> int:
-        return self.get(key)
-
-
 class MetricsRegistry:
     """Holds every metric family; the unit exporters serialize."""
 
@@ -333,17 +285,12 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._declare(name, "histogram", help, labelnames, buckets)
 
-    def counter_bag(self, name: str, help: str = "", **fixed: object) -> CounterBag:
-        """A :class:`CounterBag` over ``name{<fixed labels>, event=...}``."""
-        labelnames = tuple(sorted(fixed)) + ("event",)
-        family = self.counter(name, help, labelnames)
-        return CounterBag(family, **fixed)
-
     # -- collection ------------------------------------------------------
 
     def register_collector(self, collector: Callable[[], None]) -> None:
-        """Register a callback run before every snapshot/export (used to
-        refresh gauges whose truth lives elsewhere, e.g. FIB sizes)."""
+        """Register a callback run before every snapshot/export: it
+        copies values whose truth lives elsewhere (link counters, agent
+        ``stats``, FIB sizes) into their children."""
         self._collectors.append(collector)
 
     def collect(self) -> list[MetricFamily]:

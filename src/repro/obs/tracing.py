@@ -192,8 +192,8 @@ class Tracer:
             attrs=dict(attrs),
         )
         if channel is not None:
-            span.attrs["channel"] = str(channel)
-            self._by_channel.setdefault(str(channel), []).append(span)
+            label = span.attrs["channel"] = str(channel)
+            self._by_channel.setdefault(label, []).append(span)
         self.spans.append(span)
         self._by_id[span_id] = span
         self._by_trace.setdefault(trace_id, []).append(span)

@@ -66,6 +66,8 @@ class SessionRelay:
         self.handle: SourceHandle = net.source(sr_host)
         self.session_id = next(_session_ids)
         self.channel: Channel = self.handle.allocate_channel()
+        #: (direction, kind) -> message counter, resolved on first sight.
+        self._c_messages: dict[tuple[str, str], object] = {}
         if net.obs is None:
             self._m_messages = None
         else:
@@ -120,10 +122,7 @@ class SessionRelay:
             return
         if self.stopped:
             return
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                session=str(self.session_id), direction="rx", kind=message.kind
-            ).inc()
+        self._count_message("rx", message.kind)
         if message.kind == "talk":
             self._relay_talk(message, packet.size)
         elif message.kind == "floor_request":
@@ -167,11 +166,19 @@ class SessionRelay:
         )
         if kind == "talk":
             self.relayed += 1
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                session=str(self.session_id), direction="tx", kind=kind
-            ).inc()
+        self._count_message("tx", kind)
         return self.handle.send(self.channel, payload=out, size=size or self.talk_size)
+
+    def _count_message(self, direction: str, kind: str) -> None:
+        """Count one relay message (obs mode only)."""
+        if self._m_messages is None:
+            return
+        child = self._c_messages.get((direction, kind))
+        if child is None:
+            child = self._c_messages[(direction, kind)] = self._m_messages.labels(
+                session=self.session_id, direction=direction, kind=kind
+            )
+        child.inc()
 
     def speak_from_relay(self, body: Any, size: Optional[int] = None) -> int:
         """The primary speaker "resides on the SR": emit directly."""

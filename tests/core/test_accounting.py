@@ -1,4 +1,4 @@
-"""The batched accounting layer: banks, delivery views, link flush.
+"""The batched accounting layer: the block bank and delivery views.
 
 The load-bearing property is *equivalence*: deferred, batch-applied
 counters must land on exactly the values the old per-packet dict
@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from repro.core.accounting import (
     BLOCK_BANK,
-    LINK_COLUMNS,
     CounterBank,
     DeliveryView,
-    LinkAccounting,
     flush_agent_views,
-    link_accounting,
 )
+
+
+def row_values(bank, row):
+    return {name: bank.get(name, row) for name in bank.columns}
 
 
 class TestCounterBank:
@@ -28,34 +29,24 @@ class TestCounterBank:
         row = bank.add_row()
         assert row == 0
         assert bank.rows == 1
-        bank.inc("a", row, 3)
-        bank.inc("a", row)
+        assert row_values(bank, row) == {"a": 0, "b": 0}
+        bank.set("a", row, 4)
         bank.set("b", row, 7)
         assert bank.get("a", row) == 4
-        assert bank.row_values(row) == {"a": 4, "b": 7}
-
-    def test_intern_is_stable_per_key(self):
-        bank = CounterBank(("hits",), capacity=4)
-        first = bank.intern("link-1")
-        second = bank.intern("link-2")
-        assert first != second
-        assert bank.intern("link-1") == first
-        assert bank.rows == 2
+        assert row_values(bank, row) == {"a": 4, "b": 7}
+        assert bank.add_row() == 1
+        assert row_values(bank, 1) == {"a": 0, "b": 0}
 
     def test_growth_preserves_values(self):
         bank = CounterBank(("c",), capacity=2)
         for i in range(2):
-            bank.inc("c", bank.add_row(), i + 1)
-        before = bank.column("c")
+            bank.set("c", bank.add_row(), i + 1)
+        before = bank._cols["c"]
         # Third row forces a doubling in place; earlier values survive.
         bank.add_row()
-        assert bank.column("c") is before
-        assert len(bank.column("c")) == 4
+        assert bank._cols["c"] is before
+        assert len(before) == 4
         assert [bank.get("c", i) for i in range(3)] == [1, 2, 0]
-
-    def test_stats_reports_backend(self):
-        bank = CounterBank(("x",))
-        assert bank.stats() == {"rows": 0, "columns": ["x"]}
 
 
 class FakeStats:
@@ -127,7 +118,7 @@ class TestDeliveryView:
         view.flush()
         view.flush()  # second flush must be a no-op
         for block in blocks:
-            assert BLOCK_BANK.row_values(block._row) == oracle[id(block)]
+            assert row_values(BLOCK_BANK, block._row) == oracle[id(block)]
         if packets:
             assert view.stats.counts == oracle_stats.counts
         assert view.pending_packets == 0
@@ -157,71 +148,3 @@ class TestDeliveryView:
         assert view.pending_packets == 0
         assert view.stats.counts["block_packets"] == 2
         assert idle_view.stats.counts == {}
-
-
-class FakeCounter:
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
-
-
-class FakeRegistry:
-    def __init__(self):
-        self.collectors: list = []
-
-    def register_collector(self, fn):
-        self.collectors.append(fn)
-
-    def collect(self):
-        for fn in self.collectors:
-            fn()
-
-
-class FakeLinkMetrics:
-    """Duck-typed LinkMetrics: pending-integer attrs + take_pending."""
-
-    def __init__(self, link, acct):
-        self.link = link
-        self._c_packets = FakeCounter()
-        self._c_lost = FakeCounter()
-        self._c_ecmp_packets = FakeCounter()
-        self._c_ecmp_bytes = FakeCounter()
-        self.pending = None
-        self.row = acct.attach(self)
-
-    def take_pending(self):
-        pending, self.pending = self.pending, None
-        return pending
-
-
-class TestLinkAccounting:
-    def test_flush_folds_pending_into_bank_and_counters(self):
-        registry = FakeRegistry()
-        acct = LinkAccounting(registry)
-        a = FakeLinkMetrics("a->b", acct)
-        b = FakeLinkMetrics("b->c", acct)
-        assert a.row != b.row
-        a.pending = (5, 1, 2, 2048)
-        registry.collect()
-        assert acct.bank.row_values(a.row) == dict(
-            zip(LINK_COLUMNS, (5, 1, 2, 2048))
-        )
-        assert acct.bank.row_values(b.row) == dict(zip(LINK_COLUMNS, (0,) * 4))
-        assert a._c_packets.value == 5
-        assert a._c_lost.value == 1
-        assert a._c_ecmp_bytes.value == 2048
-        # Second collect with nothing pending changes nothing.
-        registry.collect()
-        assert a._c_packets.value == 5
-        a.pending = (1, 0, 0, 0)
-        registry.collect()
-        assert acct.bank.get("packets", a.row) == 6
-        assert a._c_lost.value == 1  # zero fields stay untouched
-
-    def test_link_accounting_caches_per_registry(self):
-        registry = FakeRegistry()
-        first = link_accounting(registry)
-        assert link_accounting(registry) is first
-        assert len(registry.collectors) == 1

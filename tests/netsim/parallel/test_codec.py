@@ -4,9 +4,11 @@
 import pytest
 
 from repro.core.channel import Channel
-from repro.core.ecmp.messages import Count, CountQuery, EcmpBatch
+from repro.core.ecmp.messages import Count, CountQuery, EcmpBatch, decode_message
+from repro.core.network import ExpressNetwork
 from repro.errors import CodecError
 from repro.netsim.packet import Packet
+from repro.netsim.topology import TopologyBuilder
 from repro.netsim.parallel.codec import (
     EXIT_FRAME,
     FRAME_ERROR,
@@ -17,6 +19,8 @@ from repro.netsim.parallel.codec import (
     FRAME_RESULT,
     FRAME_RESULT_REQ,
     RESULT_REQ_FRAME,
+    _FLAG_EXTRA,
+    _HEAD,
     _decode_spanctx,
     _encode_spanctx,
     decode_frame,
@@ -69,14 +73,36 @@ class TestRoundTrip:
         out = roundtrip(packet)
         assert out.headers["ecmp"] == batch
 
-    def test_raw_wire_bytes_pass_through(self):
-        # wire_format=True networks carry pre-encoded bytes; the codec
-        # must not re-encode or decode them.
-        raw = b"\x01\x02\x03\x04opaque"
-        packet = Packet(src=1, dst=2, proto="ecmp", headers={"ecmp": raw})
-        out = roundtrip(packet)
-        assert out.headers["ecmp"] == raw
-        assert isinstance(out.headers["ecmp"], bytes)
+    def test_wire_format_payload_rides_the_ecmp_slot(self):
+        # A wire_format=True agent puts the encoded message in the
+        # packet payload, not in headers["ecmp"]; it must still cross
+        # as raw ECMP bytes rather than through the pickle fallback.
+        topo = TopologyBuilder.isp(
+            n_transit=2, stubs_per_transit=1, hosts_per_stub=1
+        )
+        net = ExpressNetwork(topo, wire_format=True)
+        sent = []
+        host = topo.node("h1_0_0")
+        host.interfaces[0].link.capture = (
+            lambda link, sender, packet, arrival: sent.append(packet)
+        )
+        channel = net.source("h0_0_0").allocate_channel()
+        net.host("h1_0_0").subscribe(channel)
+        net.settle()
+        packet = next(p for p in sent if p.proto == "ecmp")
+        assert "ecmp" not in packet.headers
+        assert isinstance(packet.payload, bytes)
+        assert isinstance(decode_message(packet.payload), Count)
+
+        data = encode_packet(packet)
+        flags = _HEAD.unpack(data[: _HEAD.size])[3]
+        assert not flags & _FLAG_EXTRA
+        assert len(data) == _HEAD.size + len("ecmp") + len(packet.payload)
+        out = decode_packet(data)
+        assert out.payload == packet.payload
+        assert isinstance(out.payload, bytes)
+        assert "ecmp" not in out.headers
+        assert out.headers["reliable"] is True
 
     def test_extra_headers_and_payload_fall_back_to_pickle(self):
         inner = Packet(src=9, dst=8, proto="data", size=100)

@@ -138,7 +138,9 @@ class TestMetricsThreading:
         totals = net.control_stats_total()
         assert totals["counts_rx"] > 0
         assert totals["subscribe_events"] > 0
-        # And the same numbers are visible in the registry family.
+        # And the same numbers are visible in the registry family once
+        # the registry collects the agents' stats bags.
+        obs.registry.collect()
         family = obs.registry.get("ecmp_events_total")
         registry_total = sum(
             child.value

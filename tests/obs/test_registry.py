@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.registry import (
     LATENCY_BUCKETS,
-    CounterBag,
     MetricError,
     MetricsRegistry,
     percentile,
@@ -117,37 +116,6 @@ class TestDeclaration:
         assert "m" in registry
         assert registry.get("m") is not None
         assert registry.get("missing") is None
-
-
-class TestCounterBag:
-    def test_drop_in_counter_api(self):
-        registry = MetricsRegistry()
-        bag = registry.counter_bag("events_total", "events", node="r1")
-        bag.incr("joins")
-        bag.incr("joins", 2)
-        bag.incr("leaves")
-        assert bag["joins"] == 3
-        assert bag.get("leaves") == 1
-        assert bag.get("missing") == 0
-        assert bag.as_dict() == {"joins": 3, "leaves": 1}
-        assert set(bag.keys()) == {"joins", "leaves"}
-
-    def test_bags_share_one_family_but_not_counts(self):
-        registry = MetricsRegistry()
-        bag_a = registry.counter_bag("events_total", node="a")
-        bag_b = registry.counter_bag("events_total", node="b")
-        bag_a.incr("x", 5)
-        bag_b.incr("x", 7)
-        assert bag_a.as_dict() == {"x": 5}
-        assert bag_b.as_dict() == {"x": 7}
-        family = registry.get("events_total")
-        assert len(dict(family.children())) == 2
-
-    def test_fixed_labels_must_match_family(self):
-        registry = MetricsRegistry()
-        family = registry.counter("t", "", ("node", "event"))
-        with pytest.raises(MetricError):
-            CounterBag(family, region="us")
 
 
 class TestCollectorsAndSnapshot:
