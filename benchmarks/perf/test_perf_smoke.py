@@ -14,7 +14,7 @@ claims of the fast-path PR:
   keeps exact membership/delivery arithmetic, and the event engine is
   actually engaged: whole pure slots batch-dispatch (no per-event
   materialization) for at least the recorded share of all events —
-  exact for the seed — and events recycle through the arena,
+  exact for the seed,
 * the channel-surf scenario's refresh ticks examine no more records
   than recorded for the seed (an exact ceiling: any slide back toward
   O(table) scanning exceeds it), and
@@ -115,13 +115,11 @@ def test_perf_smoke_writes_bench_json():
     # degrading into the sorted open-slot path.
     assert stats["wheel_insert_share"] > 0.9
     # The engine must batch-dispatch whole pure slots (not fall back to
-    # per-event materialization) and recycle events through the arena.
+    # per-event materialization).
     assert mega["batched_slots"] > 0
     assert mega["batched_events"] == stats["batched_events"]
     assert mega["batched_share"] == mega["batched_events"] / mega["sim_events"]
     assert mega["batched_share"] >= BATCHED_SHARE_FLOOR
-    assert mega["arena"] is not None
-    assert mega["arena"]["cap"] > 0
     assert parsed["summary"]["batched_events"] == mega["batched_events"]
     assert parsed["summary"]["mega_batched_share"] == mega["batched_share"]
     assert parsed["summary"]["mega_events_per_sec"] == mega["events_per_sec"]

@@ -85,7 +85,9 @@ from repro.bench.scenarios import SCENARIOS, run_scenarios
 #: pass's exact ratio; it and ``sync_messages_per_event`` are gated as
 #: ceilings by ``--floor-null-message-ratio`` /
 #: ``--floor-sync-msgs-per-event``.
-SCHEMA_VERSION = 11
+#: v12: no event arena — ``mega_join_storm`` drops its ``arena`` block
+#: (and ``scheduler_stats`` its ``arena`` key).
+SCHEMA_VERSION = 12
 
 
 def build_report(

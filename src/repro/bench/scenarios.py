@@ -400,9 +400,7 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
     packets = 20
     # Best-of-3 in quick mode smooths scheduler-external noise (the
     # quick run is short enough for wall-clock jitter to matter); the
-    # full run is long enough to self-average. Repeats also warm the
-    # process-wide event arena, so the best run measures the recycled
-    # steady state the engine is built for.
+    # full run is long enough to self-average.
     repeats = 3 if quick else 1
     # Coarse wheel slots (50 ms vs the 1 ms default) so the bulk storm
     # fills each bucket with ~1000+ ops: batch slot dispatch amortizes
@@ -517,14 +515,12 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
         "events_per_sec": best["events"] / best["wall"] if best["wall"] else 0.0,
         "scheduler_stats": stats,
         "peak_rss_kb": peak_rss_kb,
-        # How much of the storm went through batch slot dispatch, and
-        # the arena's recycle behaviour over the best run.
+        # How much of the storm went through batch slot dispatch.
         "batched_events": stats["batched_events"],
         "batched_slots": stats["batched_slots"],
         "batched_share": (
             stats["batched_events"] / best["events"] if best["events"] else 0.0
         ),
-        "arena": stats["arena"],
         "members_final": best["members"],
         "members_expected": n_subs - n_leaves,
         "block_deliveries": best["deliveries"],

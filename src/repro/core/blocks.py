@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.accounting import BLOCK_BANK, flush_agent_views
 from repro.core.channel import Channel
 from repro.core.ecmp.protocol import CountPropagation
 from repro.core.ecmp.state import BLOCK_PREFIX
@@ -67,7 +66,9 @@ class SubscriberBlock:
         "pseudo",
         "udp",
         "members",
-        "_row",
+        "packets_seen",
+        "deliveries",
+        "bytes_delivered",
         "_refresh_task",
         "_groups",
         "_ops",
@@ -82,11 +83,12 @@ class SubscriberBlock:
         self.pseudo = BLOCK_PREFIX + name
         self.udp = udp
         self.members: dict[Channel, int] = {}
-        #: Row in the process-wide delivery counter bank; the
-        #: ``packets_seen``/``deliveries``/``bytes_delivered``
-        #: properties below read it (flushing any pending delivery-view
-        #: tallies first, so reads are never stale).
-        self._row = BLOCK_BANK.add_row()
+        #: Channel packets that reached this block's edge.
+        self.packets_seen = 0
+        #: Arithmetic member-deliveries (one per member per packet).
+        self.deliveries = 0
+        #: Arithmetic member-bytes (packet size × members, summed).
+        self.bytes_delivered = 0
         self._refresh_task: Optional[PeriodicTask] = None
         self._groups: dict[Channel, BlockChannelGroup] = {}
         self._ops: dict[tuple[Channel, int], BlockOp] = {}
@@ -95,42 +97,6 @@ class SubscriberBlock:
     def edge_router(self) -> str:
         return self.agent.node.name
 
-    # -- delivery counters (bank-backed; see repro.core.accounting) --------
-
-    @property
-    def packets_seen(self) -> int:
-        """Channel packets that reached this block's edge (cumulative
-        across channels)."""
-        flush_agent_views(self.agent)
-        return BLOCK_BANK.get("packets_seen", self._row)
-
-    @packets_seen.setter
-    def packets_seen(self, value: int) -> None:
-        flush_agent_views(self.agent)
-        BLOCK_BANK.set("packets_seen", self._row, value)
-
-    @property
-    def deliveries(self) -> int:
-        """Arithmetic member-deliveries (one per member per packet)."""
-        flush_agent_views(self.agent)
-        return BLOCK_BANK.get("deliveries", self._row)
-
-    @deliveries.setter
-    def deliveries(self, value: int) -> None:
-        flush_agent_views(self.agent)
-        BLOCK_BANK.set("deliveries", self._row, value)
-
-    @property
-    def bytes_delivered(self) -> int:
-        """Arithmetic member-bytes (packet size × members, summed)."""
-        flush_agent_views(self.agent)
-        return BLOCK_BANK.get("bytes_delivered", self._row)
-
-    @bytes_delivered.setter
-    def bytes_delivered(self, value: int) -> None:
-        flush_agent_views(self.agent)
-        BLOCK_BANK.set("bytes_delivered", self._row, value)
-
     def join(self, channel: Channel, n: int = 1) -> int:
         """Add ``n`` members to the block's count for ``channel``;
         returns the new count. One aggregate Count delta goes upstream
@@ -138,7 +104,6 @@ class SubscriberBlock:
         if n <= 0:
             raise ChannelError(f"block join needs n >= 1, got {n}")
         new = self.members.get(channel, 0) + n
-        self.agent.members_changing(channel)
         self.members[channel] = new
         self.agent.block_adjust(channel, self, new)
         return new
@@ -151,7 +116,6 @@ class SubscriberBlock:
             raise ChannelError(f"block leave needs n >= 1, got {n}")
         current = self.members.get(channel, 0)
         new = current - n
-        self.agent.members_changing(channel)
         if new <= 0:
             new = 0
             self.members.pop(channel, None)
@@ -324,7 +288,6 @@ class BlockChannelGroup:
         block = self.block
         agent = block.agent
         channel = self.channel
-        agent.members_changing(channel)
         new = record.count + delta_sum
         block.members[channel] = new
         record.count = new

@@ -47,9 +47,6 @@ _OF_MEMO: dict = {}
 #: packet addresses, and an invalid pair stays invalid).
 _PAIR_MEMO: dict = {}
 
-#: Canonical Channel -> dense integer id, in interning order.
-_CHANNEL_IDS: dict = {}
-
 _MISSING = object()
 
 
@@ -71,20 +68,6 @@ def lookup_channel(source: int, group: int):
         if channel is not None:
             _OF_MEMO.setdefault((source, channel.suffix), channel)
     return channel
-
-
-def channel_id(channel: "Channel") -> int:
-    """Dense integer id for ``channel``, assigned on first use.
-
-    Ids are process-global and monotonically assigned, so they can
-    index parallel arrays (see ``core/ecmp/state.py``) and key caches
-    with plain-int hashing.
-    """
-    cid = _CHANNEL_IDS.get(channel)
-    if cid is None:
-        cid = len(_CHANNEL_IDS)
-        _CHANNEL_IDS[channel] = cid
-    return cid
 
 
 @dataclass(frozen=True)

@@ -311,14 +311,6 @@ class EcmpAgent(ProtocolAgent):
         #: final-hop delivery.
         self.blocks: dict[str, "SubscriberBlock"] = {}
         self.channel_blocks: dict[Channel, list] = {}
-        #: Bumped before every block-membership mutation (join/leave/
-        #: batch); the forwarder's vectorized delivery views compare it
-        #: to decide whether their frozen member vectors are stale.
-        self.blocks_version = 0
-        #: Per-channel :class:`repro.core.accounting.DeliveryView`
-        #: registered by the forwarder so membership mutations can flush
-        #: pending delivery tallies accumulated under the old counts.
-        self._delivery_views: dict[Channel, object] = {}
         self.obs = obs
         self.stats = Counter()
         #: Obs-only children, resolved the first time a label tuple is
@@ -438,7 +430,7 @@ class EcmpAgent(ProtocolAgent):
         rebuild the state through the real protocol.
         """
         self.stop()
-        n_lost = sum(len(s.neighbors) for s in self.channels.values())
+        n_lost = sum(len(s.downstream) for s in self.channels.values())
         self.channels.clear()
         self.subscriptions.clear()
         for pending in self.pending_queries.values():
@@ -453,8 +445,6 @@ class EcmpAgent(ProtocolAgent):
         self.neighbor_last_heard.clear()
         self.blocks.clear()
         self.channel_blocks.clear()
-        self.blocks_version += 1
-        self._delivery_views.clear()
         self._udp_channels.clear()
         self._by_upstream.clear()
         self.keys = KeyCache()
@@ -698,16 +688,6 @@ class EcmpAgent(ProtocolAgent):
                 if not entries:
                     del self.channel_blocks[channel]
         self._apply_subscriber_count(channel, block.pseudo, count)
-
-    def members_changing(self, channel: Channel) -> None:
-        """Pre-mutation hook for block membership on ``channel``: flush
-        any delivery view's pending tallies (they were accumulated under
-        the *old* member counts, so they must be applied before those
-        counts move) and invalidate the frozen member vectors."""
-        self.blocks_version += 1
-        view = self._delivery_views.get(channel)
-        if view is not None:
-            view.flush()
 
     def block_members(self, channel: Channel) -> int:
         """Total aggregated members across blocks for one channel."""

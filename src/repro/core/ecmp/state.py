@@ -17,15 +17,14 @@ state so the ``T2`` benchmark can compare model vs measured.
 
 Record storage is *columnar*: every :class:`DownstreamRecord` is a
 thin row view over the process-global :class:`StateBank` — parallel
-``count``/``flags``/``updated_at`` columns following the
-``CounterBank`` layout idiom from :mod:`repro.core.accounting`
-(preallocated, doubled on demand, free list recycling rows). The
-columns are plain Python lists: every access is a scalar read or
-write on a protocol hot path, where list indexing returns the stored
-``int``/``float`` directly. This packs the per-record hot fields the
-mega-channel workloads hammer (count rewrites, refresh stamps, mode
-flags) into flat arrays instead of one Python object's dict per
-record, exactly the §5.2 "packed count-activity record" picture.
+``count``/``flags``/``updated_at`` columns, preallocated, doubled on
+demand, with a free list recycling rows. The columns are plain Python
+lists: every access is a scalar read or write on a protocol hot path,
+where list indexing returns the stored ``int``/``float`` directly.
+This packs the per-record hot fields the mega-channel workloads hammer
+(count rewrites, refresh stamps, mode flags) into flat arrays instead
+of one Python object's dict per record, exactly the §5.2 "packed
+count-activity record" picture.
 ``tests/properties/test_state_equivalence.py`` pins the row view
 against a plain-dict field model.
 """
@@ -35,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.channel import Channel, channel_id
+from repro.core.channel import Channel
 from repro.core.keys import KEY_BYTES, ChannelKey
 from repro.core.proactive import ProactiveCounter
 
@@ -63,7 +62,7 @@ COUNT_RECORD_BYTES = 32
 _F_VALIDATED = 0x01
 _F_UDP = 0x02
 
-#: Initial bank rows (doubles on demand, mirroring ``CounterBank``).
+#: Initial bank rows (doubles on demand).
 _INITIAL_ROWS = 256
 
 
@@ -115,9 +114,9 @@ class StateBank:
         return self._rows - len(self._free)
 
 
-#: Process-global bank, like ``accounting.BLOCK_BANK``: records from
-#: every agent share the same columns, so one network's worth of
-#: channel state is a handful of arrays rather than per-record dicts.
+#: Process-global bank: records from every agent share the same
+#: columns, so one network's worth of channel state is a handful of
+#: arrays rather than per-record dicts.
 STATE_BANK = StateBank()
 
 
@@ -240,12 +239,6 @@ class ChannelState:
     #: When this node last switched upstream (hysteresis input).
     upstream_changed_at: float = 0.0
     created_at: float = 0.0
-
-    def __post_init__(self) -> None:
-        #: Dense interned channel id (see :func:`channel_id`): stable
-        #: per process, used wherever per-channel state wants integer
-        #: keys instead of object hashing.
-        self.cid = channel_id(self.channel)
 
     def total(self, validated_only: bool = True) -> int:
         """Sum of downstream subscriber counts (the value sent upstream)."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.accounting import DeliveryView, flush_agent_views
 from repro.core.channel import lookup_channel
 from repro.core.ecmp.protocol import EcmpAgent
 from repro.errors import ForwardingError
@@ -81,10 +80,7 @@ class ExpressForwarder(ProtocolAgent):
         self._unicast_sinks: list[Callable[[Packet], None]] = []
 
     def _collect(self) -> None:
-        """Registry collector: apply pending delivery tallies (see
-        :mod:`repro.core.accounting`), then publish ``stats`` as
-        ``forwarder_events_total``."""
-        flush_agent_views(self.ecmp)
+        """Registry collector: publish ``stats`` as ``forwarder_events_total``."""
         node = self.node.name
         for event, value in self.stats.as_dict().items():
             self._m_events.child((node, event)).value = value
@@ -254,28 +250,26 @@ class ExpressForwarder(ProtocolAgent):
         channel = lookup_channel(packet.src, packet.dst)
         if channel is None:
             return False
-        ecmp = self.ecmp
-        if ecmp.channel_blocks:
+        blocks = self.ecmp.channel_blocks.get(channel)
+        if blocks:
             # Aggregated final hop: the packet terminates here for every
-            # block member — counted arithmetically through a frozen
-            # membership view instead of per-block counter churn (see
-            # repro.core.accounting.DeliveryView). Per packet this is
-            # two integer adds; tallies apply to the blocks in bulk at
-            # flush boundaries.
-            views = ecmp._delivery_views
-            view = views.get(channel)
-            if view is None:
-                view = views[channel] = DeliveryView(
-                    ecmp, channel, self.stats, self._delivery_hist(channel)
-                )
-            if view.version != ecmp.blocks_version:
-                view.flush()
-                view.refresh()
-            if view.members_sum:
-                view.pending_packets += 1
-                view.pending_bytes += packet.size
-                if view.hist is not None:
-                    view.hist.observe(self.sim.now - packet.created_at)
+            # block member — counted arithmetically instead of fanned
+            # out as N link events (see repro.core.blocks).
+            size = packet.size
+            members = 0
+            for block in blocks:
+                n = block.members.get(channel, 0)
+                block.packets_seen += 1
+                block.deliveries += n
+                block.bytes_delivered += size * n
+                members += n
+            if members:
+                self.stats.incr("block_deliveries", members)
+                self.stats.incr("block_packets")
+                if self._m_delivery is not None:
+                    self._delivery_hist(channel).observe(
+                        self.sim.now - packet.created_at
+                    )
         handle = self.ecmp.subscriptions.get(channel)
         if handle is None or handle.status != "active":
             return False

@@ -20,7 +20,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.channel import Channel, channel_id
+from repro.core.channel import Channel
 from repro.errors import AuthError
 
 #: Wire size of a channel key, per the §5.2 state accounting.
@@ -59,37 +59,31 @@ class KeyCache:
     ``authoritative`` entries came from the source's ``channelKey``
     call (the router *knows* the key); ``learned`` entries were
     validated by an upstream router and cached on the way back down.
-    Both allow local accept/deny of later subscriptions.
-
-    Internally the cache is keyed by the dense interned channel id
-    (:func:`repro.core.channel.channel_id`) — validation sits on the
-    subscription hot path and plain-int hashing beats tuple-hash
-    dispatch through the ``Channel`` object.
+    Both allow local accept/deny of later subscriptions. Both maps
+    are keyed by the :class:`Channel` itself.
     """
 
     def __init__(self) -> None:
-        self._authoritative: dict[int, ChannelKey] = {}
-        self._learned: dict[int, ChannelKey] = {}
+        self._authoritative: dict[Channel, ChannelKey] = {}
+        self._learned: dict[Channel, ChannelKey] = {}
         self.local_accepts = 0
         self.local_denies = 0
 
     def install_authoritative(self, channel: Channel, key: ChannelKey) -> None:
         """Install the key as the channel's source announced it."""
-        self._authoritative[channel_id(channel)] = key
+        self._authoritative[channel] = key
 
     def learn(self, channel: Channel, key: ChannelKey) -> None:
         """Cache a key an upstream router has validated."""
-        self._learned[channel_id(channel)] = key
+        self._learned[channel] = key
 
     def knows(self, channel: Channel) -> bool:
         """True if this router can validate locally."""
-        cid = channel_id(channel)
-        return cid in self._authoritative or cid in self._learned
+        return channel in self._authoritative or channel in self._learned
 
     def get(self, channel: Channel) -> Optional[ChannelKey]:
         """The known key for ``channel``, if any."""
-        cid = channel_id(channel)
-        return self._authoritative.get(cid) or self._learned.get(cid)
+        return self._authoritative.get(channel) or self._learned.get(channel)
 
     def is_authenticated(self, channel: Channel) -> bool:
         """True if this router knows the channel requires a key."""
@@ -101,8 +95,7 @@ class KeyCache:
         Returns True (accept), False (deny), or None when this router
         has no knowledge and must defer upstream.
         """
-        cid = channel_id(channel)
-        expected = self._authoritative.get(cid) or self._learned.get(cid)
+        expected = self._authoritative.get(channel) or self._learned.get(channel)
         if expected is None:
             return None
         ok = presented is not None and hmac.compare_digest(
@@ -115,9 +108,8 @@ class KeyCache:
         return ok
 
     def forget(self, channel: Channel) -> None:
-        cid = channel_id(channel)
-        self._authoritative.pop(cid, None)
-        self._learned.pop(cid, None)
+        self._authoritative.pop(channel, None)
+        self._learned.pop(channel, None)
 
     def memory_bytes(self) -> int:
         """Key-cache footprint at the paper's 8 bytes per key."""

@@ -10,11 +10,11 @@ land in per-slot buckets by O(1) append and each slot is sorted once
 when the cursor reaches it; far-future events overflow into a small
 heap and cascade into the wheel as their slot comes within the
 horizon. Bulk-scheduled work is kept as the caller's own tuples in
-*pure* buckets that batch-dispatch without an ``Event`` ever existing,
-and the events that do exist are recycled through the free-list arena
-of :mod:`repro.netsim.arena`. Dispatch order is exactly ``(time,
-seq)``; ``tests/properties/test_scheduler_equivalence.py`` pins it
-against a small heapq reference scheduler kept under ``tests/``.
+*pure* buckets that batch-dispatch without an ``Event`` ever existing;
+the events that do exist are plain allocations. Dispatch order is
+exactly ``(time, seq)``;
+``tests/properties/test_scheduler_equivalence.py`` pins it against a
+small heapq reference scheduler kept under ``tests/``.
 
 Seeding contract
 ----------------
@@ -44,7 +44,6 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.netsim.arena import ARENA
 
 #: Below this queue size, compaction is never worth the heapify cost.
 _COMPACT_MIN_QUEUE = 64
@@ -91,15 +90,6 @@ class Event:
     #: bookkeeping exact.
     owner: Optional["Simulator"] = field(compare=False, default=None, repr=False)
     _in_queue: bool = field(compare=False, default=False, repr=False)
-    #: Incarnation counter, bumped each time the arena hands the record
-    #: out for reuse. A holder that captured ``(event, event.gen)`` can
-    #: tell a recycled record from the one it scheduled.
-    gen: int = field(compare=False, default=0, repr=False)
-    #: True for events scheduled through :meth:`Simulator.schedule_bulk`.
-    #: Pooled events are unreachable outside
-    #: the engine (bulk scheduling returns a count, not the events), so
-    #: recycling them after dispatch is safe by construction.
-    pooled: bool = field(compare=False, default=False, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when it comes due."""
@@ -108,19 +98,6 @@ class Event:
         self.cancelled = True
         if self.owner is not None and self._in_queue:
             self.owner._note_cancelled()
-
-    def cancel_if(self, gen: int) -> bool:
-        """Cancel only if this record is still incarnation ``gen``.
-
-        The recycle-safe form of :meth:`cancel` for holders of a pooled
-        record: capture ``event.gen`` at schedule time and pass it back
-        here — a record the arena has since handed to someone else is
-        left alone. Returns True if the cancellation applied.
-        """
-        if self.gen != gen:
-            return False
-        self.cancel()
-        return True
 
 
 #: Sentinel returned by ``TimerWheel.advance(..., allow_pure=True)``
@@ -278,33 +255,17 @@ class TimerWheel:
                 self._bucket_entries += 1
 
     def _materialize(self, entries: list, meta: list) -> list[Event]:
-        """Turn lazy ``(time, action)`` bulk tuples into real (pooled
-        where possible) Events, assigning the seqs reserved for them:
-        ``meta[1] + i`` for the entry at position ``i``. Order is
-        preserved; callers sort if they need to."""
+        """Turn lazy ``(time, action)`` bulk tuples into real Events,
+        assigning the seqs reserved for them: ``meta[1] + i`` for the
+        entry at position ``i``. Order is preserved; callers sort if
+        they need to."""
         sim = self.sim
-        acquire = sim._arena.acquire
         name = meta[0]
-        seq = meta[1] - 1
-        events: list[Event] = []
-        append = events.append
-        for time, action in entries:
-            seq += 1
-            event = acquire()
-            if event is not None:
-                event.gen += 1
-                event.time = time
-                event.seq = seq
-                event.action = action
-                event.name = name
-                event.cancelled = False
-                event.owner = sim
-                event._in_queue = True
-                event.pooled = True
-            else:
-                event = Event(time, seq, action, name, False, sim, True, 0, True)
-            append(event)
-        return events
+        base = meta[1]
+        return [
+            Event(time, seq, action, name, False, sim, True)
+            for seq, (time, action) in enumerate(entries, base)
+        ]
 
     def _resolve_open(self) -> None:
         """Materialize a pure open slot into sorted Events (the batch
@@ -367,12 +328,7 @@ class TimerWheel:
                 pos += 1
             if size:
                 # Slot fully consumed: every entry was dispatched or
-                # cancel-skipped, so dispatched pooled events can go
-                # back to the arena (slots the batch dispatcher took
-                # never reach here — it consumes tuples, not Events).
-                recycled = [event for event in open_ if event.pooled]
-                if recycled:
-                    sim._arena.release_block(recycled)
+                # cancel-skipped.
                 del open_[:]
             self._open_pos = 0
             # Open slot exhausted — move the cursor. When every bucket
@@ -613,7 +569,6 @@ class Simulator:
     ) -> None:
         if rng is not None and seed != 0:
             raise SimulationError("pass either seed or rng, not both")
-        self._arena = ARENA
         #: Batch slot dispatch tallies.
         self.batched_events = 0
         self.batched_slots = 0
@@ -660,20 +615,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        arena = self._arena
-        if arena.blocks:
-            event = arena.acquire()
-            event.gen += 1
-            event.time = self._now + delay
-            event.seq = self._seq
-            event.action = action
-            event.name = name
-            event.cancelled = False
-            event.owner = self
-            event._in_queue = True
-            event.pooled = False
-        else:
-            event = Event(self._now + delay, self._seq, action, name, False, self, True)
+        event = Event(self._now + delay, self._seq, action, name, False, self, True)
         # Inlined TimerWheel.insert() bucket-append common case — one
         # less call per event on the bulk-scheduling path.
         wheel = self._wheel
@@ -713,20 +655,7 @@ class Simulator:
             perf_counter() if profiler is not None and not self._running else 0.0
         )
         self._seq += 1
-        arena = self._arena
-        if arena.blocks:
-            event = arena.acquire()
-            event.gen += 1
-            event.time = time
-            event.seq = self._seq
-            event.action = action
-            event.name = name
-            event.cancelled = False
-            event.owner = self
-            event._in_queue = True
-            event.pooled = False
-        else:
-            event = Event(time, self._seq, action, name, False, self, True)
+        event = Event(time, self._seq, action, name, False, self, True)
         # Inlined TimerWheel.insert() bucket-append common case — see
         # schedule().
         wheel = self._wheel
@@ -769,11 +698,9 @@ class Simulator:
         tuples, and a side tally built during this single input-order
         scan lets the batch dispatcher consume the whole slot in
         O(distinct actions) without a single Event object ever existing
-        (see ``_batch_slot``; slots it declines are materialized from
-        the arena's free list on demand). Out-of-horizon entries come
-        from the arena free list (*pooled* — the engine recycles them
-        after dispatch, which is safe because this method returns a
-        count, so no caller can hold a reference).
+        (see ``_batch_slot``; slots it declines are materialized into
+        Events on demand). Out-of-horizon entries become Events at
+        once.
 
         Returns the number of events scheduled.
         """
@@ -835,7 +762,7 @@ class Simulator:
                         wheel._materialize_bucket(index)
                         fb_seq += 1
                         buckets[index].append(
-                            self._bulk_event(time, fb_seq, item[1], name)
+                            Event(time, fb_seq, item[1], name, False, self, True)
                         )
                 else:
                     bucket = buckets[index]
@@ -843,14 +770,16 @@ class Simulator:
                         # Bucket already holds Events — join it as one
                         # (representations never mix).
                         fb_seq += 1
-                        bucket.append(self._bulk_event(time, fb_seq, item[1], name))
+                        bucket.append(
+                            Event(time, fb_seq, item[1], name, False, self, True)
+                        )
                     else:
                         metas[index] = [name, None, {item[1]: [1, time]}]
                         touched.append(index)
                         bucket.append(item)
             else:
                 fb_seq += 1
-                wheel.insert(self._bulk_event(time, fb_seq, item[1], name))
+                wheel.insert(Event(time, fb_seq, item[1], name, False, self, True))
                 overflow += 1
         # Reserve seq ranges for the pure buckets: consecutive from the
         # first free seq after the fallbacks, one run per bucket in
@@ -870,24 +799,6 @@ class Simulator:
         if started:
             profiler.alloc_seconds += perf_counter() - started
         return n
-
-    def _bulk_event(self, time: float, seq: int, action, name: str) -> Event:
-        """Materialize one bulk item as a pooled Event — the rare
-        schedule_bulk fallbacks: out-of-horizon inserts and appends
-        into a bucket that already holds Events."""
-        event = self._arena.acquire()
-        if event is None:
-            return Event(time, seq, action, name, False, self, True, 0, True)
-        event.gen += 1
-        event.time = time
-        event.seq = seq
-        event.action = action
-        event.name = name
-        event.cancelled = False
-        event.owner = self
-        event._in_queue = True
-        event.pooled = True
-        return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
@@ -1190,7 +1101,6 @@ class Simulator:
         stats["pending"] = self._live
         stats["batched_events"] = self.batched_events
         stats["batched_slots"] = self.batched_slots
-        stats["arena"] = self._arena.stats()
         return stats
 
 

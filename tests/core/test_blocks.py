@@ -14,6 +14,8 @@ from repro import ExpressNetwork, TopologyBuilder
 from repro.core.ecmp.protocol import EcmpAgent, NeighborMode
 from repro.core.ecmp.state import BLOCK_PREFIX, is_pseudo_neighbor, LOCAL
 from repro.errors import ChannelError, ProtocolError, TopologyError
+from repro.netsim.topology import Topology
+from repro.obs.hooks import Observability
 
 
 def build_net(**kwargs) -> ExpressNetwork:
@@ -220,3 +222,112 @@ class TestUdpSoftState:
         horizon = EcmpAgent.UDP_ROBUSTNESS * EcmpAgent.UDP_QUERY_INTERVAL
         net.run(until=net.sim.now + 3 * horizon)
         assert block.count(channel) == 5
+
+
+class TestDeliveryAccounting:
+    """Block delivery counters against a per-packet oracle taken at
+    each delivery, across every way membership moves: join, leave, a
+    committed batch slot and a UDP expiry."""
+
+    @pytest.mark.parametrize("with_obs", [False, True], ids=["obs_off", "obs_on"])
+    def test_counters_match_per_packet_oracle(self, with_obs):
+        # hsrc - n0 - n1 - n2 (edge). Coarse 50 ms wheel slots so a
+        # bulk-scheduled burst of block ops lands in one batchable slot.
+        topo = Topology(wheel_granularity=0.05)
+        for name in ("hsrc", "n0", "n1", "n2"):
+            topo.add_node(name)
+        for a, b in (("hsrc", "n0"), ("n0", "n1"), ("n1", "n2")):
+            topo.add_link(a, b, delay=0.001)
+        obs = Observability() if with_obs else None
+        net = ExpressNetwork(
+            topo, hosts=["hsrc"], default_mode=NeighborMode.UDP, obs=obs
+        )
+        net.run(until=0.01)
+        source = net.source("hsrc")
+        channel = source.allocate_channel()
+        blocks = [net.subscriber_block("n2", udp=True) for _ in range(3)]
+        first, second, doomed = blocks
+        forwarder = net.forwarders["n2"]
+
+        oracle = {id(b): [0, 0, 0] for b in blocks}
+        totals = {"block_packets": 0, "block_deliveries": 0}
+        deliver = forwarder._deliver_local
+
+        def observed(packet):
+            # The oracle reads each block's own membership at the
+            # moment the packet arrives, before the forwarder counts it.
+            if (packet.src, packet.dst) == (channel.source, channel.group):
+                members = 0
+                for block in blocks:
+                    m = block.count(channel)
+                    if m:
+                        row = oracle[id(block)]
+                        row[0] += 1
+                        row[1] += m
+                        row[2] += m * packet.size
+                        members += m
+                if members:
+                    totals["block_packets"] += 1
+                    totals["block_deliveries"] += members
+            return deliver(packet)
+
+        forwarder._deliver_local = observed
+        sizes = iter(range(100, 10_000, 37))
+
+        def send(n=1):
+            for _ in range(n):
+                source.send(channel, size=next(sizes))
+            net.settle()
+
+        first.join(channel, 10)
+        doomed.join(channel, 3)
+        net.settle()
+        send(2)
+        second.join(channel, 5)
+        send()
+        first.leave(channel, 4)
+        send()
+
+        # A burst of ±1 ops inside one wheel slot, then a packet.
+        base = net.sim.now + 1.0
+        ops = [(base + 0.001 * i, first.join_op(channel)) for i in range(6)]
+        ops += [(base + 0.01 + 0.001 * i, second.leave_op(channel)) for i in range(2)]
+        net.sim.schedule_bulk(ops, name="op")
+        net.sim.schedule_at(base + 0.2, lambda: source.send(channel, size=next(sizes)))
+        net.run(until=base + 0.5)
+        assert (first.count(channel), second.count(channel)) == (12, 3)
+        if obs is None:
+            # Dispatch listeners (obs) make the engine fall back to
+            # per-event dispatch; without them the slot is batched.
+            assert net.sim.batched_slots > 0
+
+        # The doomed block stops refreshing and ages out while packets
+        # keep flowing.
+        doomed.stop()
+        horizon = EcmpAgent.UDP_ROBUSTNESS * EcmpAgent.UDP_QUERY_INTERVAL
+        start = net.sim.now
+        for k in range(1, 8):
+            net.sim.schedule_at(
+                start + k * horizon / 2,
+                lambda: source.send(channel, size=next(sizes)),
+            )
+        net.run(until=start + 4 * horizon)
+        assert doomed.count(channel) == 0
+        assert doomed not in net.router_agent("n2").channel_blocks[channel]
+
+        second.leave(channel, 3)
+        send(2)
+
+        # Every packet sent reached the edge while members were there.
+        assert totals["block_packets"] == 2 + 1 + 1 + 1 + 7 + 2
+        for block in blocks:
+            assert [
+                block.packets_seen, block.deliveries, block.bytes_delivered
+            ] == oracle[id(block)]
+        assert forwarder.stats.get("block_packets") == totals["block_packets"]
+        assert forwarder.stats.get("block_deliveries") == totals["block_deliveries"]
+        if obs is not None:
+            hist = obs.registry.get("delivery_latency_seconds").labels(
+                protocol="express", node="n2", channel=channel
+            )
+            assert hist.count == totals["block_packets"]

@@ -105,6 +105,33 @@ class TestCrashRestart:
         totals = net.control_stats_total()
         assert totals.get("resync_events", 0) > 0
 
+    def test_crash_of_block_edge_keeps_delivered_counts(self):
+        """Crashing an edge router that hosts a subscriber block
+        completes (the router still holds channel state when its links
+        drop), and the block's delivery counters and the forwarder's
+        ``block_deliveries`` keep what was delivered before the crash."""
+        topo = TopologyBuilder.isp(n_transit=2, stubs_per_transit=1, hosts_per_stub=1)
+        net = ExpressNetwork(topo)
+        net.run(until=0.01)
+        src, ch = make_channel(net, "h0_0_0")
+        block = net.subscriber_block("e1_0")
+        block.join(ch, 10)
+        net.settle()
+        for _ in range(5):
+            src.send(ch)
+        net.settle()
+        agent = net.ecmp_agents["e1_0"]
+        assert agent.channels  # state is still held when the crash fires
+        now = net.sim.now
+        injector = FaultInjector(net, FaultPlan(1).crash(now + 1.0, "e1_0"))
+        injector.arm()
+        net.run(until=now + 1.5)
+        assert injector.fired and injector.fired[0][1] == "crash"
+        assert not agent.channels
+        assert block.packets_seen == 5
+        assert block.deliveries == 50
+        assert net.forwarders["e1_0"].stats.get("block_deliveries") == 50
+
     def test_crash_composed_with_partition_does_not_heal_it(self, isp_net):
         net = isp_net
         now = net.sim.now
