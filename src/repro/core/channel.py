@@ -33,10 +33,9 @@ from repro.inet.addr import (
 # Channels key every hot dict in the system (channel tables, FIB caches,
 # block membership, key caches), and the same (S, E) pair is rebuilt at
 # every layer: codec decode, FIB lookup, data-plane delivery. Interning
-# gives all of those one canonical object — the validation and hash are
-# paid once per distinct channel per process — and lets the columnar
-# state tables address channels by a dense integer id instead of the
-# object itself.
+# gives all of those one shared object, so the validation and hash are
+# paid once per distinct channel rather than once per packet. Channels
+# compare by value, never by identity, so a memo may forget an entry.
 # ---------------------------------------------------------------------------
 
 #: (source, suffix) -> canonical Channel, filled by :meth:`Channel.of`.
@@ -47,7 +46,19 @@ _OF_MEMO: dict = {}
 #: packet addresses, and an invalid pair stays invalid).
 _PAIR_MEMO: dict = {}
 
+#: Size guard for each memo: every EXPRESS packet at every node runs
+#: :func:`lookup_channel` on its (src, dst), so a flood of spoofed
+#: pairs would otherwise grow the memos without bound. A full memo is
+#: emptied, like the FIB's lookup cache.
+_MEMO_MAX = 8192
+
 _MISSING = object()
+
+
+def _remember(memo: dict, key, channel) -> None:
+    if len(memo) >= _MEMO_MAX:
+        memo.clear()
+    memo.setdefault(key, channel)
 
 
 def lookup_channel(source: int, group: int):
@@ -55,7 +66,7 @@ def lookup_channel(source: int, group: int):
     when the pair is not a valid channel.
 
     This is the data plane's fast path: validation is pure, so each
-    pair is parsed at most once per process, invalid pairs included.
+    pair's result is memoized, invalid pairs included.
     """
     key = (source, group)
     channel = _PAIR_MEMO.get(key, _MISSING)
@@ -64,9 +75,9 @@ def lookup_channel(source: int, group: int):
             channel = Channel(source=source, group=group)
         except ChannelError:
             channel = None
-        _PAIR_MEMO[key] = channel
+        _remember(_PAIR_MEMO, key, channel)
         if channel is not None:
-            _OF_MEMO.setdefault((source, channel.suffix), channel)
+            _remember(_OF_MEMO, (source, channel.suffix), channel)
     return channel
 
 
@@ -114,8 +125,7 @@ class Channel:
 
         Interned: repeated calls with the same pair return the same
         object, shared with :func:`lookup_channel` (the data plane's
-        (src, dst) memo), so there is exactly one ``Channel`` per
-        distinct (S, E) in the process.
+        (src, dst) memo), until a full memo is emptied.
         """
         if cls is not Channel:  # subclasses get no interning
             return cls(source=source, group=ssm_address(suffix))
@@ -123,8 +133,8 @@ class Channel:
         channel = _OF_MEMO.get(key)
         if channel is None:
             channel = cls(source=source, group=ssm_address(suffix))
-            _OF_MEMO[key] = channel
-            _PAIR_MEMO.setdefault((source, channel.group), channel)
+            _remember(_OF_MEMO, key, channel)
+            _remember(_PAIR_MEMO, (source, channel.group), channel)
         return channel
 
     def __str__(self) -> str:

@@ -70,7 +70,7 @@ from repro.core.ecmp.refresh import RefreshRing
 from repro.core.ecmp.state import (
     LOCAL,
     ChannelState,
-    DownstreamRecord,
+    StateBank,
     is_pseudo_neighbor,
 )
 from repro.core.keys import ChannelKey, KeyCache
@@ -1086,8 +1086,7 @@ class EcmpAgent(ProtocolAgent):
                 return
             # In-flight verdict entries for this neighbor stay queued:
             # the upstream response still arrives and must pop in order.
-            was_udp = state.downstream[from_name].udp
-            del state.downstream[from_name]
+            was_udp = StateBank.release(state, from_name).udp
             self._untrack_record(channel, from_name)
             self._sync_fib(state)
             self._propagate(state)
@@ -1136,7 +1135,7 @@ class EcmpAgent(ProtocolAgent):
 
         record = state.downstream.get(from_name)
         if record is None:
-            record = state.downstream[from_name] = DownstreamRecord()
+            record = StateBank.alloc(state, from_name)
         record.count = count
         record.updated_at = self.sim.now
         if from_name != LOCAL:
@@ -1390,7 +1389,7 @@ class EcmpAgent(ProtocolAgent):
                 for name in reversed(list(state.downstream)):
                     record = state.downstream[name]
                     if record.presented_key is None:
-                        del state.downstream[name]
+                        StateBank.release(state, name)
                         self._untrack_record(state.channel, name)
                         self._notify_denied(state.channel, name)
                         break
@@ -1436,7 +1435,7 @@ class EcmpAgent(ProtocolAgent):
                 # Never revoke a validation an earlier verdict granted.
                 record.validated = record.validated or entry.prior_validated
             else:
-                del state.downstream[entry.neighbor]
+                StateBank.release(state, entry.neighbor)
                 self._untrack_record(state.channel, entry.neighbor)
         self._notify_denied(state.channel, entry.neighbor)
 

@@ -29,7 +29,7 @@ from repro.inet.addr import is_ssm, is_unicast
 from repro.netsim.node import Node, ProtocolAgent
 from repro.netsim.packet import Packet
 from repro.netsim.trace import Counter
-from repro.routing.fib import MulticastFib
+from repro.routing.fib import DROPPED, MulticastFib
 from repro.routing.unicast import UnicastRouting
 
 PROTO_DATA = "data"
@@ -125,10 +125,17 @@ class ExpressForwarder(ProtocolAgent):
             # wire is spoofed or looped; never process it.
             self.stats.incr("self_spoof_drops")
             return
-        delivered = self._deliver_local(packet)
         if self.ecmp.role == "host":
+            self._deliver_local(packet)
             return  # hosts terminate channels; they never relay
         oifs = self.fib.lookup(packet.src, packet.dst, ifindex)
+        if oifs is DROPPED:
+            # Block members sit behind this router's FIB entry, so a
+            # packet failing its exact-match or incoming-interface
+            # check (§2: only S may send to (S, E)) never reaches them.
+            delivered = self._deliver_local(packet, to_blocks=False)
+        else:
+            delivered = self._deliver_local(packet)
         self._fan_out(packet, oifs, consume=not delivered)
 
     def _handle_unicast(self, packet: Packet, ifindex: int) -> None:
@@ -242,15 +249,16 @@ class ExpressForwarder(ProtocolAgent):
             copy.ttl = packet.ttl - 1
             send(copy, oifs[n - 1])
 
-    def _deliver_local(self, packet: Packet) -> bool:
-        """Deliver to a local subscription, if any; True if delivered."""
-        # The process-wide interning memo replaces the old per-forwarder
-        # cache: every layer (codec, FIB, delivery) shares one canonical
-        # Channel per (src, dst), invalid pairs negative-cached.
+    def _deliver_local(self, packet: Packet, to_blocks: bool = True) -> bool:
+        """Deliver to a local subscription, if any; True if delivered.
+        With ``to_blocks`` the packet also reaches the channel's
+        subscriber blocks."""
+        # Every layer (codec, FIB, delivery) shares the process-wide
+        # (src, dst) memo; invalid pairs are negative-cached.
         channel = lookup_channel(packet.src, packet.dst)
         if channel is None:
             return False
-        blocks = self.ecmp.channel_blocks.get(channel)
+        blocks = to_blocks and self.ecmp.channel_blocks.get(channel)
         if blocks:
             # Aggregated final hop: the packet terminates here for every
             # block member — counted arithmetically instead of fanned

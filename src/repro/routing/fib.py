@@ -152,8 +152,11 @@ class FibEntry:
         )
 
 
-#: Interned empty result shared by every drop path (do not mutate).
-_NO_OIFS: list[int] = []
+#: The empty result :meth:`MulticastFib.lookup` returns for a dropped
+#: packet (do not mutate). An accepted packet whose entry has no
+#: outgoing interface gets a distinct empty list, so callers tell the
+#: two apart by identity.
+DROPPED: list[int] = []
 
 #: Lookup-cache size guard: adversarial workloads (spoof floods with
 #: random (S, E)) would otherwise grow the cache without bound.
@@ -231,8 +234,8 @@ class MulticastFib:
         """Data-plane lookup: the outgoing interface list for a packet,
         after the exact-match and incoming-interface checks.
 
-        Returns an empty list (and bumps the drop counters) for packets
-        that must be dropped. This mirrors the §3.4 fast path: no
+        Returns :data:`DROPPED` (and bumps the drop counters) for
+        packets that must be dropped. This mirrors the §3.4 fast path: no
         rendezvous fallback, no broadcast.
         """
         self.lookups += 1
@@ -251,12 +254,12 @@ class MulticastFib:
             self._lookup_cache.clear()
         if entry is None:
             self.no_match_drops += 1
-            self._lookup_cache[cache_key] = ("no_match", _NO_OIFS)
-            return _NO_OIFS
+            self._lookup_cache[cache_key] = ("no_match", DROPPED)
+            return DROPPED
         if entry.incoming_interface != arriving_ifindex:
             self.iif_drops += 1
-            self._lookup_cache[cache_key] = ("iif", _NO_OIFS)
-            return _NO_OIFS
+            self._lookup_cache[cache_key] = ("iif", DROPPED)
+            return DROPPED
         oifs = entry.outgoing_interfaces()
         self._lookup_cache[cache_key] = ("ok", oifs)
         return oifs

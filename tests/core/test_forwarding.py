@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import channel as channel_module
+from repro.core.network import ExpressNetwork
 from repro.errors import ForwardingError
 from repro.netsim.packet import Packet
+from repro.netsim.topology import TopologyBuilder
 from tests.conftest import make_channel
 
 
@@ -102,6 +105,59 @@ class TestExpressForwarding:
         net.topo.node("hsrc").send(packet, 0)
         net.settle()
         assert net.forwarders["n0"].stats.get("non_express_multicast_drops") == 1
+
+
+def block_edge_net():
+    """``isp(2,1,1)`` with a 10-member block on edge ``e1_0`` joined to
+    a channel of ``h0_0_0``; ``h1_0_0`` hangs off the same edge."""
+    net = ExpressNetwork(TopologyBuilder.isp(2, 1, 1))
+    net.run(until=0.01)
+    src, ch = make_channel(net, "h0_0_0")
+    block = net.subscriber_block("e1_0")
+    block.join(ch, 10)
+    net.settle()
+    return net, src, ch, block
+
+
+class TestBlockEdgeSpoofing:
+    """Subscriber blocks sit behind their edge router's FIB entry, so
+    traffic that router drops must never count as block deliveries."""
+
+    def test_spoofed_packet_is_not_a_block_delivery(self):
+        net, src, ch, block = block_edge_net()
+        src.send(ch)
+        net.settle()
+        assert block.deliveries == 10
+        # h1_0_0 forges S's address; it arrives at e1_0 on the wrong
+        # interface and fails the incoming-interface check.
+        spoofed = Packet(src=src.address, dst=ch.group, proto="data")
+        net.forwarders["h1_0_0"].node.send(spoofed, 0)
+        net.settle()
+        assert net.fibs["e1_0"].iif_drops == 1
+        assert block.deliveries == 10
+        assert block.packets_seen == 1
+        assert net.forwarders["e1_0"].stats.get("block_packets") == 1
+
+    def test_spoofed_pair_flood_keeps_channel_memos_bounded(self):
+        """Every EXPRESS packet's (src, dst) is looked up at every node;
+        a flood of distinct forged sources must not grow the process's
+        channel memos without bound."""
+        flood = 10_000
+        net, src, ch, block = block_edge_net()
+        rogue = net.forwarders["h1_0_0"].node
+        for k in range(flood):
+            rogue.send(Packet(src=0x0B000000 + k, dst=ch.group, proto="data"), 0)
+        net.settle()
+        assert net.fibs["e1_0"].no_match_drops >= flood
+        assert len(channel_module._PAIR_MEMO) < flood
+        assert len(channel_module._OF_MEMO) < flood
+        assert len(channel_module._PAIR_MEMO) <= channel_module._MEMO_MAX
+        assert len(channel_module._OF_MEMO) <= channel_module._MEMO_MAX
+        # Forgotten entries are rebuilt equal: the block still counts
+        # the source's own traffic.
+        src.send(ch)
+        net.settle()
+        assert block.deliveries == 10
 
 
 class TestFanOutAliasing:

@@ -1,13 +1,13 @@
-"""Property tests: the columnar ECMP record bank behaves like a plain
+"""Property tests: an ECMP downstream record behaves like a plain
 record of fields, and the refresh ring expires soft state on exactly
 the tick a full-table scan would.
 
 Two layers:
 
 * **Record level** — any sequence of field writes applied to a
-  :class:`DownstreamRecord` (a StateBank row view) and to a plain dict
-  of the same fields leaves the two observably identical. Rows recycle
-  through the bank's free list without bleeding values.
+  :class:`DownstreamRecord` and to a plain dict of the same fields
+  leaves the two observably identical: values, types, ``repr`` and
+  equality.
 * **Network level** — under a randomized subscribe/unsubscribe/
   silence workload, every refresh tick expires exactly the UDP records
   whose lease has run out: a record expires on the first tick at which
@@ -98,17 +98,6 @@ class TestRecordEquivalence:
         assert type(record.updated_at) is float
         assert type(record.validated) is bool
         assert type(record.udp) is bool
-
-    def test_recycled_rows_start_fresh(self):
-        # Dirty a row, release it (del), and confirm the next alloc —
-        # which reuses the freed row — sees constructor defaults, not
-        # the previous tenant's values.
-        first = DownstreamRecord(count=99, validated=False, udp=True, updated_at=7.0)
-        row = first._row
-        del first
-        second = DownstreamRecord()
-        assert second._row == row
-        assert_matches_model(second, DEFAULTS)
 
     def test_unequal_to_differing_record(self):
         assert DownstreamRecord(count=1) != DownstreamRecord(count=2)
